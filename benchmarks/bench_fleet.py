@@ -13,7 +13,10 @@ correctness gates:
 * scalar and vectorized backends agree statistically on a small fleet.
 
 The headline number is ``simulation.speedup_vectorized`` — vectorized
-vs (sampled, extrapolated) scalar — which gates CI at 3x. The scalar
+vs (sampled, extrapolated) scalar — which gates CI at 3x. The
+composition search must equal its per-composition scalar oracle byte
+for byte before it is timed; ``optimizer.speedup_vs_oracle`` (array
+search vs oracle search on one grid) gates CI too. The scalar
 reference resolves every error event in a Python loop, so running it at
 full fleet scale is infeasible; it is always timed on a proportional
 sample and extrapolated per server-month (recorded as
@@ -46,6 +49,9 @@ from repro.fleet import (  # noqa: E402
     optimize_fleet,
     simulate_fleet,
 )
+from repro.fleet.analytic import CompositionGrid  # noqa: E402
+from repro.fleet.engine import _resolve_designs  # noqa: E402
+from repro.fleet.optimizer import FleetOptimizer  # noqa: E402
 
 #: 6 regions spanning the size/vulnerability spread the paper measures
 #: (same synthetic profile as bench_design_space).
@@ -256,30 +262,70 @@ def bench_simulation(profile, designs, smoke):
 
 
 def bench_optimizer(profile, designs, smoke):
-    """Composition-grid search across the five paper designs."""
+    """Composition-grid search across the five paper designs.
+
+    The array search must reproduce the per-composition scalar oracle
+    (``FleetOptimizer.search_scalar``) byte for byte before either is
+    timed; ``speedup_vs_oracle`` compares the two searches on one grid.
+    """
     step = 0.1 if smoke else 0.05
     config = FleetConfig(servers=1000, months=36, demand_fraction=0.95)
-    start = time.perf_counter()
+    target = 0.9995
+    resolved = _resolve_designs(
+        profile, designs, None, None, None, "single-bit soft", None
+    )
+    optimizer = FleetOptimizer(
+        CompositionGrid(profile, resolved, config), availability_target=target
+    )
     result = optimize_fleet(
         profile,
         designs=designs,
         config=config,
-        availability_target=0.9995,
+        availability_target=target,
+        step=step,
+    )
+    oracle = optimizer.search_scalar(step)
+    assert json.dumps(result.to_dict()) == json.dumps(oracle.to_dict()), (
+        "array composition search diverges from the scalar oracle"
+    )
+    assert result.best is not None, "optimizer found no feasible composition"
+
+    start = time.perf_counter()
+    optimize_fleet(
+        profile,
+        designs=designs,
+        config=config,
+        availability_target=target,
         step=step,
     )
     seconds = time.perf_counter() - start
-    assert result.best is not None, "optimizer found no feasible composition"
+    search_seconds = _best_of(3, lambda: optimizer.search(step))
+    oracle_seconds = _best_of(3, lambda: optimizer.search_scalar(step))
     return {
         "step": step,
         "designs": len(designs),
         "compositions_evaluated": result.evaluated,
         "compositions_per_second": result.evaluated / seconds,
         "seconds": seconds,
+        "search_seconds": search_seconds,
+        "oracle_search_seconds": oracle_seconds,
+        "oracle_identical": True,
+        "speedup_vs_oracle": oracle_seconds / search_seconds,
         "availability_target": result.availability_target,
         "best": result.best.to_dict(),
         "pareto_size": len(result.pareto),
         "mixed_dominates_singles": result.mixed_dominates_singles,
     }
+
+
+def _best_of(repeats, run):
+    """Fastest wall time of ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def main(argv=None):
@@ -336,7 +382,7 @@ def main(argv=None):
         f"{simulation['correlated_aging']['overhead_vs_plain']:.2f}x"
     )
 
-    print("timing: composition optimizer...")
+    print("gate + timing: composition optimizer vs scalar oracle...")
     optimizer = bench_optimizer(profile, designs, arguments.smoke)
     print(
         f"  {optimizer['compositions_evaluated']} compositions in "
@@ -344,6 +390,11 @@ def main(argv=None):
         f"({optimizer['compositions_per_second']:,.0f}/s); best "
         f"{optimizer['best']['key']} "
         f"(savings {optimizer['best']['cost_savings']:.3f})"
+    )
+    print(
+        f"  search {optimizer['search_seconds']:.3f}s vs oracle "
+        f"{optimizer['oracle_search_seconds']:.3f}s: "
+        f"{optimizer['speedup_vs_oracle']:.1f}x (byte-identical)"
     )
 
     report = {

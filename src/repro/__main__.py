@@ -647,6 +647,20 @@ def _build_observer(arguments) -> Observer:
     return Observer(sinks=sinks, metrics=registry)
 
 
+def _write_metrics_outputs(arguments, observer: Observer, payload=None) -> None:
+    """Write ``--metrics-out`` (JSON: ``payload`` plus the instruments)
+    and ``--prom-out`` (Prometheus text), whichever were asked for."""
+    if arguments.metrics_out is not None:
+        payload = dict(payload or {})
+        if observer.metrics is not None:
+            payload["instruments"] = observer.metrics.to_dict()
+        arguments.metrics_out.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+    if arguments.prom_out is not None:
+        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+
+
 def _cmd_characterize(arguments) -> int:
     workload, factory = _make_workload(arguments)
     observer = _build_observer(arguments)
@@ -680,15 +694,11 @@ def _cmd_characterize(arguments) -> int:
         observer.close()
     if arguments.metrics:
         print(render_run_summary(metrics), file=sys.stderr)
-    if arguments.metrics_out is not None:
-        payload = {"campaign": metrics.to_dict()}
-        if observer.metrics is not None:
-            payload["instruments"] = observer.metrics.to_dict()
-        arguments.metrics_out.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics_outputs(
+        arguments,
+        observer,
+        {"campaign": metrics.to_dict()} if metrics is not None else {},
+    )
     if arguments.json:
         print(json.dumps(profile.to_dict(), indent=2))
         return 0
@@ -783,15 +793,7 @@ def _cmd_explore(arguments) -> int:
         )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics_outputs(arguments, observer)
     if arguments.json:
         payload = {
             "backend": result.backend,
@@ -909,15 +911,7 @@ def _cmd_fleet(arguments) -> int:
             )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics_outputs(arguments, observer)
     verdicts = analytic_matches_simulation(analytic, simulated)
     agreement = all(verdicts.values())
     if arguments.json:
@@ -1052,15 +1046,7 @@ def _cmd_serve(arguments) -> int:
             )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics_outputs(arguments, observer)
     replay = result.replay
     if arguments.json:
         print(json.dumps(replay.to_dict(), indent=2, sort_keys=True))

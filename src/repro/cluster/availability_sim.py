@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.availability import (
     MINUTES_PER_MONTH,
@@ -51,35 +51,112 @@ class MonthOutcome:
         return max(0.0, 1.0 - self.downtime_minutes / MINUTES_PER_MONTH)
 
 
-@dataclass
 class SimulationSummary:
-    """Aggregate over many simulated months."""
+    """Aggregate over many simulated months.
 
-    months: List[MonthOutcome] = field(default_factory=list)
+    The scalar loop builds it from :class:`MonthOutcome` objects. The
+    batched backends build it from per-month columns
+    (:meth:`from_columns`): the statistics then read the columns, the
+    percentiles share one cached sort, and ``months`` is materialized
+    only when accessed. Both forms give the same numbers bit for bit:
+    the means are the builtin ``sum`` over the same values in month
+    order.
+    """
+
+    def __init__(self, months: Optional[List[MonthOutcome]] = None) -> None:
+        self._months: Optional[List[MonthOutcome]] = (
+            [] if months is None else months
+        )
+        self._columns: Optional[tuple] = None
+        self._availability: Optional[List[float]] = None
+        self._crashes: Optional[List[int]] = None
+        self._ordered: Optional[List[float]] = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        errors: Sequence[int],
+        crashes: Sequence[int],
+        recoveries: Sequence[int],
+        incorrect: Sequence[float],
+        downtime: Sequence[float],
+    ) -> "SimulationSummary":
+        """A summary over per-month columns, in month order."""
+        summary = cls()
+        summary._months = None
+        summary._columns = (errors, crashes, recoveries, incorrect, downtime)
+        return summary
+
+    @property
+    def months(self) -> List[MonthOutcome]:
+        """Every simulated month (built from the columns on first use)."""
+        if self._months is None:
+            self._months = [
+                MonthOutcome(*row)
+                for row in zip(*(_as_list(column) for column in self._columns))
+            ]
+        return self._months
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationSummary):
+            return NotImplemented
+        return self.months == other.months
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> Tuple[List[float], List[int]]:
+        """Per-month (availability, crashes), in month order."""
+        if self._months is not None:
+            return (
+                [month.availability for month in self._months],
+                [month.crashes for month in self._months],
+            )
+        if self._availability is None:
+            import numpy as np
+
+            downtime = np.asarray(self._columns[4], dtype=np.float64)
+            availability = 1.0 - downtime / MINUTES_PER_MONTH
+            self._availability = np.where(
+                availability > 0.0, availability, 0.0
+            ).tolist()
+            self._crashes = _as_list(self._columns[1])
+        return self._availability, self._crashes
 
     @property
     def mean_availability(self) -> float:
         """Average availability across months."""
-        if not self.months:
+        availability, _ = self._values()
+        if not availability:
             raise ValueError("no months simulated")
-        return sum(month.availability for month in self.months) / len(self.months)
+        return sum(availability) / len(availability)
 
     @property
     def mean_crashes(self) -> float:
         """Average crashes per month."""
-        if not self.months:
+        _, crashes = self._values()
+        if not crashes:
             raise ValueError("no months simulated")
-        return sum(month.crashes for month in self.months) / len(self.months)
+        return sum(crashes) / len(crashes)
 
     def availability_percentile(self, percentile: float) -> float:
         """Availability at a given percentile of months (0-100)."""
         if not 0 <= percentile <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-        ordered = sorted(month.availability for month in self.months)
+        if self._months is not None:
+            ordered = sorted(month.availability for month in self._months)
+        else:
+            if self._ordered is None:
+                self._ordered = sorted(self._values()[0])
+            ordered = self._ordered
         index = min(
             len(ordered) - 1, max(0, math.ceil(percentile / 100 * len(ordered)) - 1)
         )
         return ordered[index]
+
+
+def _as_list(column) -> list:
+    """A column as a list of Python numbers."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 class AvailabilitySimulator:
@@ -194,10 +271,9 @@ class AvailabilitySimulator:
         if backend == "fleet":
             return self._simulate_fleet_of_one(months, seed)
         rng = random.Random(seed)
-        summary = SimulationSummary()
-        for _ in range(months):
-            summary.months.append(self.simulate_month(rng))
-        return summary
+        return SimulationSummary(
+            [self.simulate_month(rng) for _ in range(months)]
+        )
 
     def _simulate_fleet_of_one(self, months: int, seed: int) -> SimulationSummary:
         """Delegate to the fleet engine: one server, no fleet effects.
@@ -229,15 +305,10 @@ class AvailabilitySimulator:
             region_sizes=self.region_sizes,
         )
         result = FleetSimulator(layout, params=self.params).simulate(seed=seed)
-        summary = SimulationSummary()
-        for month in range(months):
-            summary.months.append(
-                MonthOutcome(
-                    errors=result.errors_by_month[month],
-                    crashes=result.crashes_by_month[month],
-                    recoveries=result.recoveries_by_month[month],
-                    incorrect_responses=result.incorrect_by_month[month],
-                    downtime_minutes=result.downtime_by_month[month],
-                )
-            )
-        return summary
+        return SimulationSummary.from_columns(
+            result.errors_by_month,
+            result.crashes_by_month,
+            result.recoveries_by_month,
+            result.incorrect_by_month,
+            result.downtime_by_month,
+        )

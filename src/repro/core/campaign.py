@@ -35,6 +35,7 @@ import json
 import logging
 import os
 import random
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -988,8 +989,34 @@ def load_or_run_profile(
         progress=progress,
     )
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(
-            json.dumps({"fingerprint": fingerprint, "profile": profile.to_dict()})
+        _write_text_atomic(
+            cache_path,
+            json.dumps({"fingerprint": fingerprint, "profile": profile.to_dict()}),
         )
     return profile
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers never see a torn file.
+
+    The text goes to a temporary file in the same directory, is flushed
+    to disk, then renamed over ``path`` with :func:`os.replace`. If any
+    step fails, the previous file is left byte-identical and the
+    temporary file is removed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
+        raise

@@ -38,7 +38,7 @@ from repro.core.availability import (
 )
 from repro.core.design_space import RegionPolicy, SoftwareResponse
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.cluster.availability_sim import MonthOutcome, SimulationSummary
+from repro.cluster.availability_sim import SimulationSummary
 
 __all__ = ["BatchAvailabilitySimulator", "BatchSimulationResult"]
 
@@ -96,18 +96,14 @@ class BatchSimulationResult:
         return float(ordered[index])
 
     def to_summary(self, design: int = 0) -> SimulationSummary:
-        """Materialize one design's months as a scalar-compatible summary."""
-        months = [
-            MonthOutcome(
-                errors=int(self.errors[design, m]),
-                crashes=int(self.crashes[design, m]),
-                recoveries=int(self.recoveries[design, m]),
-                incorrect_responses=float(self.incorrect[design, m]),
-                downtime_minutes=float(self.downtime[design, m]),
-            )
-            for m in range(self.months)
-        ]
-        return SimulationSummary(months=months)
+        """One design's months as a scalar-compatible, column-backed summary."""
+        return SimulationSummary.from_columns(
+            self.errors[design],
+            self.crashes[design],
+            self.recoveries[design],
+            self.incorrect[design],
+            self.downtime[design],
+        )
 
 
 class BatchAvailabilitySimulator:

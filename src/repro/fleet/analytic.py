@@ -6,8 +6,13 @@ crash downtime are exact, not approximations. The deterministic
 structure (aging multipliers on the staggered age grid, bad-batch
 membership, refurbishment months) comes from the same
 :class:`~repro.fleet.layout.FleetLayout` the Monte Carlo simulator
-uses, which is why the analytic mean downtime equals the simulator's
-expectation to the digit (absent the rare per-server monthly clip).
+uses, so the analytic mean downtime equals the simulator's expectation
+whenever no server's downtime reaches a whole month. The simulator
+clips each server-month at ``MINUTES_PER_MONTH``; the analytic model
+does not. For heavily failing profiles the clip is not rare (at the
+pipeline benchmark's 5000 x 120 fleet config, graphmining's analytic
+machine availability lies tens of standard errors below the simulated
+CI95), so there the analytic mean is a pessimistic bound, not a match.
 
 Routed fleet availability is nonlinear (``min(demand, capacity)``), so
 its mean uses a per-month normal approximation of total downtime::
@@ -16,6 +21,15 @@ its mean uses a per-month normal approximation of total downtime::
     t = (mu - h) / sigma
 
 with fleet sizes in the hundreds the CLT makes this tight.
+
+The shortfall is evaluated on whole ``(..., months)`` arrays. Cells
+with ``t < -40`` are exactly 0.0 without calling libm: there
+``math.erf(t / sqrt(2))`` is exactly -1.0 and ``math.exp(-t*t/2)``
+underflows to 0.0, so the formula evaluates to ``-0.0 + 0.0 == 0.0``.
+The remaining cells map ``math.erf`` and ``math.exp`` element by
+element (``np.exp`` is not guaranteed to round like libm), so every
+value is bit-identical to the scalar :func:`_expected_shortfall`, which
+stays as the oracle behind :meth:`CompositionGrid.evaluate`.
 
 Shock variance is where correlation shows up analytically. With
 fleet-wide events ``E ~ Poisson(lam)`` and per-server hit probability
@@ -30,13 +44,15 @@ correlated tail the regression tests pin on the simulator.
 
 :class:`CompositionGrid` is the optimizer's fast path: per-month prefix
 sums over the server axis make each candidate composition an
-``O(designs x months)`` evaluation instead of a fresh layout build.
+``O(designs x months)`` evaluation instead of a fresh layout build, and
+:meth:`CompositionGrid.evaluate_many` scores a whole ``(compositions,
+designs)`` count array in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,25 +110,56 @@ def _shock_moments(
     return (mean, variance)
 
 
+#: Below this standardized excess the normal-tail shortfall is exactly
+#: 0.0 in double precision (erf saturates at -1, exp underflows).
+TAIL_CUTOFF = -40.0
+
+
+def _shortfall_many(
+    mean: np.ndarray, std: np.ndarray, headroom: float
+) -> np.ndarray:
+    """:func:`_expected_shortfall` over arrays, bit for bit."""
+    excess = mean - headroom
+    out = np.where(excess > 0.0, excess, 0.0)
+    positive = std > 0.0
+    t = np.divide(excess, std, out=np.zeros_like(excess), where=positive)
+    live = positive & ~(t < TAIL_CUTOFF)
+    out[positive] = 0.0
+    if live.any():
+        t_live = t[live]
+        count = t_live.size
+        erf = np.fromiter(
+            map(math.erf, (t_live / math.sqrt(2.0)).tolist()),
+            dtype=np.float64,
+            count=count,
+        )
+        exp = np.fromiter(
+            map(math.exp, (-0.5 * t_live * t_live).tolist()),
+            dtype=np.float64,
+            count=count,
+        )
+        cdf = 0.5 * (1.0 + erf)
+        pdf = exp / math.sqrt(2.0 * math.pi)
+        out[live] = excess[live] * cdf + std[live] * pdf
+    return out
+
+
 def _routed_availability(
     mean_downtime: np.ndarray,
     var_downtime: np.ndarray,
     servers: int,
     demand_fraction: float,
 ) -> np.ndarray:
-    """Per-month routed availability from downtime moments."""
+    """Routed availability from downtime moments, cell by cell.
+
+    Accepts any ``(..., months)`` shape; each cell equals the scalar
+    per-month formula exactly.
+    """
     demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
     headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
-    months = len(mean_downtime)
-    out = np.empty(months, dtype=np.float64)
-    for m in range(months):
-        shortfall = _expected_shortfall(
-            float(mean_downtime[m]),
-            math.sqrt(max(0.0, float(var_downtime[m]))),
-            headroom_minutes,
-        )
-        out[m] = 1.0 - shortfall / demand_minutes
-    return out
+    std = np.sqrt(np.where(var_downtime > 0.0, var_downtime, 0.0))
+    shortfall = _shortfall_many(mean_downtime, std, headroom_minutes)
+    return 1.0 - shortfall / demand_minutes
 
 
 class AnalyticFleetResult:
@@ -353,9 +400,12 @@ class CompositionGrid:
     def evaluate(self, counts: Sequence[int]) -> Tuple[float, float]:
         """(mean fleet availability, cost savings) for a composition.
 
-        ``counts`` aligns with the construction-time design order and
-        must sum to ``config.servers``. Blocks are contiguous in design
-        order, matching :class:`FleetLayout`.
+        The scalar oracle of :meth:`evaluate_many`, kept for the
+        bit-identity tests: one composition, one month at a time through
+        :func:`_expected_shortfall`. ``counts`` aligns with the
+        construction-time design order and must sum to
+        ``config.servers``. Blocks are contiguous in design order,
+        matching :class:`FleetLayout`.
         """
         config = self.config
         servers = config.servers
@@ -389,10 +439,87 @@ class CompositionGrid:
             var_downtime = var_downtime + crashes * recovery**2
             savings += self.savings[d] * (count / servers)
             cursor = stop
+        demand_minutes = config.demand_fraction * servers * MINUTES_PER_MONTH
+        headroom_minutes = (
+            (1.0 - config.demand_fraction) * servers * MINUTES_PER_MONTH
+        )
+        availability = np.empty(config.months, dtype=np.float64)
+        for m in range(config.months):
+            shortfall = _expected_shortfall(
+                float(mean_downtime[m]),
+                math.sqrt(max(0.0, float(var_downtime[m]))),
+                headroom_minutes,
+            )
+            availability[m] = 1.0 - shortfall / demand_minutes
+        return (float(availability.mean()), float(savings))
+
+    def evaluate_many(self, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(mean fleet availability, cost savings) for many compositions.
+
+        ``counts`` is a ``(compositions, designs)`` integer array whose
+        rows follow the construction-time design order and each sum to
+        ``config.servers``. Downtime moments are summed design by
+        design, skipping empty blocks, exactly as :meth:`evaluate` does,
+        so every returned value equals its scalar counterpart bit for
+        bit.
+        """
+        config = self.config
+        servers = config.servers
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 2 or counts.shape[1] != len(self.designs):
+            raise ValueError(
+                f"counts must have shape (compositions, {len(self.designs)}), "
+                f"got {counts.shape}"
+            )
+        totals = counts.sum(axis=1)
+        if (totals != servers).any():
+            bad = int(totals[totals != servers][0])
+            raise ValueError(
+                f"composition covers {bad} servers, "
+                f"config.servers is {servers}"
+            )
+        compositions = counts.shape[0]
+        recovery = self.params.crash_recovery_minutes
+        base = (
+            self.repairs_by_month * config.repair_downtime_minutes
+            + self._shock_downtime_mean
+        )
+        mean_downtime = np.broadcast_to(
+            base, (compositions, config.months)
+        ).copy()
+        var_downtime = np.full_like(mean_downtime, self._shock_downtime_var)
+        savings = np.zeros(compositions, dtype=np.float64)
+        with_bad = self._bad_extra > 0 and self._bad_fraction > 0
+        cursor = np.zeros(compositions, dtype=np.int64)
+        for d in range(len(self.designs)):
+            count = counts[:, d]
+            occupied = count != 0
+            stop = cursor + count
+            start_mult = self.cum_mult[cursor, :]
+            block_mult = self.cum_mult[stop, :] - start_mult
+            if with_bad:
+                bad_stop = cursor + np.rint(self._bad_fraction * count).astype(
+                    np.int64
+                )
+                block_mult = block_mult + self._bad_extra * (
+                    self.cum_mult[bad_stop, :] - start_mult
+                )
+            crashes = self.crash_coeff[d] * block_mult
+            rows = occupied[:, None]
+            mean_downtime = np.where(
+                rows, mean_downtime + crashes * recovery, mean_downtime
+            )
+            var_downtime = np.where(
+                rows, var_downtime + crashes * recovery**2, var_downtime
+            )
+            savings = np.where(
+                occupied, savings + self.savings[d] * (count / servers), savings
+            )
+            cursor = stop
         availability = _routed_availability(
             mean_downtime, var_downtime, servers, config.demand_fraction
         )
-        return (float(availability.mean()), float(savings))
+        return (availability.mean(axis=1), savings)
 
 
 def ci_contains(

@@ -4,8 +4,9 @@ A datacenter is not obliged to run one HRM design everywhere: the
 cheapest design that *alone* misses the fleet availability target can
 still carry most of the fleet if a reliable design covers the
 difference. The optimizer enumerates fractional compositions on a
-simplex grid (stars and bars at ``step`` granularity), scores each with
-the analytic model's fast path (:class:`CompositionGrid` prefix sums —
+simplex grid (stars and bars at ``step`` granularity), apportions and
+scores the whole simplex in one array pass
+(:meth:`CompositionGrid.evaluate_many` over prefix sums —
 ``O(designs x months)`` per candidate), and keeps:
 
 * the **best** feasible composition — maximum cost savings, ties broken
@@ -20,7 +21,9 @@ the analytic model's fast path (:class:`CompositionGrid` prefix sums —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.explore.pareto import pareto_indices
 from repro.fleet.analytic import CompositionGrid
@@ -117,6 +120,13 @@ class FleetOptimizationResult:
         }
 
 
+def _units(step: float) -> int:
+    """Simplex resolution: how many ``step``-sized units make a whole."""
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must be in (0, 1], got {step}")
+    return max(1, round(1.0 / step))
+
+
 def _unit_allocations(designs: int, units: int) -> Iterator[Tuple[int, ...]]:
     """All ways to split ``units`` across ``designs`` (stars and bars)."""
     if designs == 1:
@@ -125,6 +135,32 @@ def _unit_allocations(designs: int, units: int) -> Iterator[Tuple[int, ...]]:
     for first in range(units + 1):
         for rest in _unit_allocations(designs - 1, units - first):
             yield (first,) + rest
+
+
+def apportion_many(
+    servers: int, fractions: np.ndarray, names: Sequence[str]
+) -> np.ndarray:
+    """:func:`apportion_servers` for every row of a fraction array.
+
+    ``fractions`` is ``(compositions, designs)`` with columns in
+    ``names`` order. Quotas are floored, then each row's leftover
+    servers go to its largest fractional remainders, ties broken by
+    design name, so every row equals the scalar apportionment exactly.
+    """
+    quotas = servers * fractions
+    floors = np.floor(quotas)
+    counts = floors.astype(np.int64)
+    leftover = servers - counts.sum(axis=1)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    name_rank = np.empty(len(names), dtype=np.int64)
+    name_rank[by_name] = np.arange(len(names))
+    # Per row: designs by descending remainder, then by name.
+    order = np.lexsort(
+        (np.broadcast_to(name_rank, quotas.shape), -(quotas - floors)),
+        axis=-1,
+    )
+    position = np.argsort(order, axis=-1)
+    return counts + (position < leftover[:, None])
 
 
 class FleetOptimizer:
@@ -142,31 +178,66 @@ class FleetOptimizer:
         self.availability_target = availability_target
 
     def search(self, step: float = 0.1) -> FleetOptimizationResult:
-        """Score every composition at ``step`` granularity."""
-        if not 0.0 < step <= 1.0:
-            raise ValueError(f"step must be in (0, 1], got {step}")
-        units = max(1, round(1.0 / step))
-        designs = self.grid.designs
-        names = [design.name for design in designs]
+        """Score every composition at ``step`` granularity in one pass."""
+        units = _units(step)
+        names = [design.name for design in self.grid.designs]
+        allocations = np.array(
+            list(_unit_allocations(len(names), units)), dtype=np.int64
+        )
+        fractions = allocations / units
+        counts = apportion_many(self.grid.config.servers, fractions, names)
+        availability, savings = self.grid.evaluate_many(counts)
+        points = [
+            self._point(names, *row)
+            for row in zip(
+                fractions.tolist(),
+                counts.tolist(),
+                availability.tolist(),
+                savings.tolist(),
+            )
+        ]
+        return self._result(points, units)
+
+    def search_scalar(self, step: float = 0.1) -> FleetOptimizationResult:
+        """The per-composition oracle of :meth:`search`, kept for the
+        bit-identity tests and ``benchmarks/bench_fleet.py``.
+
+        Apportions with :func:`apportion_servers` and scores with
+        :meth:`CompositionGrid.evaluate`, one composition at a time.
+        """
+        units = _units(step)
+        names = [design.name for design in self.grid.designs]
         servers = self.grid.config.servers
         points: List[CompositionMetrics] = []
-        for allocation in _unit_allocations(len(designs), units):
-            fractions = {
-                name: allocation[d] / units for d, name in enumerate(names)
-            }
-            counts = apportion_servers(servers, fractions)
-            availability, savings = self.grid.evaluate(
-                [counts[name] for name in names]
-            )
+        for allocation in _unit_allocations(len(names), units):
+            fractions = [allocation[d] / units for d in range(len(names))]
+            counts = apportion_servers(servers, dict(zip(names, fractions)))
+            row_counts = [counts[name] for name in names]
+            availability, savings = self.grid.evaluate(row_counts)
             points.append(
-                CompositionMetrics(
-                    fractions=fractions,
-                    counts=dict(counts),
-                    fleet_availability=availability,
-                    cost_savings=savings,
-                    feasible=availability >= self.availability_target,
-                )
+                self._point(names, fractions, row_counts, availability, savings)
             )
+        return self._result(points, units)
+
+    def _point(
+        self,
+        names: Sequence[str],
+        fractions: Sequence[float],
+        counts: Sequence[int],
+        availability: float,
+        savings: float,
+    ) -> CompositionMetrics:
+        return CompositionMetrics(
+            fractions=dict(zip(names, fractions)),
+            counts=dict(zip(names, counts)),
+            fleet_availability=availability,
+            cost_savings=savings,
+            feasible=availability >= self.availability_target,
+        )
+
+    def _result(
+        self, points: List[CompositionMetrics], units: int
+    ) -> FleetOptimizationResult:
         singles = {
             point.key.split(":")[0]: point
             for point in points

@@ -110,3 +110,52 @@ class TestCustomCells:
             {"stack-top": spans}, specs=(SINGLE_BIT_SOFT,)
         )
         assert profile.cells[("stack-top", "single-bit soft")].trials == 2
+
+
+class TestAtomicProfileCache:
+    """A failed cache write never tears the cache it replaces."""
+
+    @staticmethod
+    def factory():
+        from repro.apps.websearch import WebSearch
+
+        return WebSearch(
+            vocabulary_size=300, doc_count=200, query_count=80, heap_size=65536
+        )
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_write_keeps_previous_cache(
+        self, tmp_path, monkeypatch, failing
+    ):
+        import os
+
+        from repro.core import campaign as campaign_module
+
+        cache = tmp_path / "profile.json"
+        base = CampaignConfig(trials_per_cell=2, queries_per_trial=20, seed=5)
+        campaign_module.load_or_run_profile(
+            self.factory, base, cache_path=cache, regions=["stack"]
+        )
+        before = cache.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(campaign_module.os, failing, fail)
+        stale = CampaignConfig(trials_per_cell=3, queries_per_trial=20, seed=5)
+        with pytest.raises(OSError, match="disk full"):
+            campaign_module.load_or_run_profile(
+                self.factory, stale, cache_path=cache, regions=["stack"]
+            )
+        monkeypatch.undo()
+        assert cache.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["profile.json"]
+
+    def test_write_replaces_whole_file(self, tmp_path):
+        from repro.core.campaign import _write_text_atomic
+
+        target = tmp_path / "nested" / "cache.json"
+        _write_text_atomic(target, "x" * 10000)
+        _write_text_atomic(target, "{}")
+        assert target.read_text() == "{}"
+        assert [p.name for p in target.parent.iterdir()] == ["cache.json"]
