@@ -6,8 +6,9 @@ Times the three exploration backends on a 6-region × 12-candidate grid
 ``DesignEvaluator.evaluate`` per design, O(k) memory), the NumPy batch
 engine, and exact branch-and-bound. Every timed path is first checked
 for equality against exhaustive scalar search on a reduced grid, and
-the batched Monte Carlo availability simulator is cross-checked
-statistically against the scalar event loop before their timing race.
+``AvailabilitySimulator``'s vectorized backend (the fleet engine's
+chunk kernel) is cross-checked statistically against its scalar backend
+(the fleet engine's per-event oracle) before their timing race.
 
 The headline number is ``search.speedup_vectorized`` — batch engine vs
 scalar on the full grid — which gates CI at 3× (smoke) and the
@@ -246,9 +247,7 @@ def bench_search(profile, smoke):
 
 
 def bench_simulation(profile, smoke):
-    """Scalar event loop vs batched Monte Carlo: equivalence + timing."""
-    from repro.explore.simulator import BatchAvailabilitySimulator
-
+    """AvailabilitySimulator scalar vs vectorized: equivalence + timing."""
     months = 200 if smoke else 1200
     designs = [
         {
@@ -278,21 +277,21 @@ def bench_simulation(profile, smoke):
     ]
     evaluator = DesignEvaluator(profile)
 
-    start = time.perf_counter()
-    scalar_means = []
-    for policies in designs:
-        summary = AvailabilitySimulator(
-            profile, policies, region_sizes=evaluator.region_sizes
-        ).simulate(months, seed=20140623)
-        scalar_means.append(summary.mean_availability)
-    scalar_seconds = time.perf_counter() - start
+    def race(backend):
+        start = time.perf_counter()
+        means = [
+            AvailabilitySimulator(
+                profile,
+                policies,
+                region_sizes=evaluator.region_sizes,
+                backend=backend,
+            ).simulate(months, seed=20140623).mean_availability
+            for policies in designs
+        ]
+        return means, time.perf_counter() - start
 
-    start = time.perf_counter()
-    batch = BatchAvailabilitySimulator(
-        profile, designs, region_sizes=evaluator.region_sizes
-    ).simulate(months, seed=20140623)
-    batch_seconds = time.perf_counter() - start
-    batch_means = [batch.mean_availability(d) for d in range(len(designs))]
+    scalar_means, scalar_seconds = race("scalar")
+    vectorized_means, vectorized_seconds = race("vectorized")
 
     analytic = []
     for policies in designs:
@@ -305,27 +304,27 @@ def bench_simulation(profile, smoke):
 
     # Statistical (not bitwise) equivalence: both estimators must sit
     # within Monte Carlo error of each other and the analytic model.
-    for scalar_mean, batch_mean, expected in zip(
-        scalar_means, batch_means, analytic
+    for scalar_mean, vectorized_mean, expected in zip(
+        scalar_means, vectorized_means, analytic
     ):
-        assert abs(scalar_mean - batch_mean) < 0.003, (
-            f"simulators diverge: {scalar_mean} vs {batch_mean}"
+        assert abs(scalar_mean - vectorized_mean) < 0.003, (
+            f"simulators diverge: {scalar_mean} vs {vectorized_mean}"
         )
-        assert abs(batch_mean - expected) < 0.003, (
-            f"batch sim diverges from analytic: {batch_mean} vs {expected}"
+        assert abs(vectorized_mean - expected) < 0.003, (
+            f"vectorized sim diverges from analytic: {vectorized_mean} vs {expected}"
         )
 
     return {
         "months": months,
         "designs": len(designs),
         "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": batch_seconds,
-        "speedup": scalar_seconds / batch_seconds,
+        "vectorized_seconds": vectorized_seconds,
+        "speedup": scalar_seconds / vectorized_seconds,
         "scalar_mean_availability": scalar_means,
-        "vectorized_mean_availability": batch_means,
+        "vectorized_mean_availability": vectorized_means,
         "analytic_availability": analytic,
         "max_abs_divergence": max(
-            abs(s - b) for s, b in zip(scalar_means, batch_means)
+            abs(s - b) for s, b in zip(scalar_means, vectorized_means)
         ),
     }
 
@@ -362,7 +361,7 @@ def main(argv=None):
         f"branch-and-bound {search['speedup_branch_and_bound']:.1f}x"
     )
 
-    print("simulation: scalar event loop vs batched Monte Carlo...")
+    print("simulation: AvailabilitySimulator scalar vs vectorized...")
     simulation = bench_simulation(profile, arguments.smoke)
     print(
         f"  {simulation['designs']} designs x {simulation['months']} months: "

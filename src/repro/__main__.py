@@ -391,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument(
         "--backend", choices=EXPLORE_BACKENDS, default="auto",
         help="search engine; all backends return identical designs "
-        "('auto' picks 'vectorized' when NumPy is importable)",
+        "('auto' picks 'vectorized')",
     )
     explore_cmd.add_argument(
         "--top-k", type=_top_k, default=5, metavar="K",
@@ -467,8 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--backend", choices=FLEET_BACKENDS, default="auto",
-        help="fleet simulation engine ('auto' picks 'vectorized' when "
-        "NumPy is importable)",
+        help="fleet simulation engine ('auto' picks 'vectorized')",
     )
     fleet.add_argument(
         "--sim-seed", type=int, default=0,

@@ -363,8 +363,7 @@ def explore_design_space(
     designs; they differ in cost: ``scalar`` is the one-design-at-a-time
     reference, ``vectorized`` evaluates the space in NumPy chunks,
     ``branch-and-bound`` finds exact top-k without visiting the whole
-    space, and ``auto`` (default) picks ``vectorized`` when NumPy is
-    importable. The result is an :class:`ExplorationResult` — a
+    space, and ``auto`` (default) picks ``vectorized``. The result is an :class:`ExplorationResult` — a
     backward-compatible :class:`OptimizationResult` subclass.
 
     Args:

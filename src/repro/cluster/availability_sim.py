@@ -5,34 +5,41 @@ Cross-validates the analytic availability chain of
 a simulated month, each error lands in a region (size-weighted) and is
 resolved per that region's policy; crashes accrue recovery downtime.
 Beyond validation, the simulation also reports distributional quantities
-the analytic model cannot (downtime percentiles across months), and
-optionally models page retirement suppressing repeat hard errors.
+the analytic model cannot (downtime percentiles across months).
+
+The month chain is sampled by the fleet engine
+(:mod:`repro.fleet.simulator`) on a fleet of one server with no fleet
+effects — there is one stochastic engine in the package.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.availability import (
     MINUTES_PER_MONTH,
     AvailabilityParams,
     ErrorRateModel,
 )
-from repro.core.design_space import RegionPolicy, SoftwareResponse
+from repro.core.design_space import RegionPolicy
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.utils.rng import poisson_variate
+from repro.fleet.config import FleetConfig, FleetDesign
+from repro.fleet.layout import FleetLayout
+from repro.fleet.simulator import FleetSimulator
 
-#: Simulation execution strategies: ``scalar`` is the per-event Python
-#: loop; ``vectorized`` delegates to the NumPy batched simulator in
-#: :mod:`repro.explore.simulator` (statistically equivalent, different
-#: draw stream); ``fleet`` delegates a fleet-of-one to the fleet engine
-#: (:mod:`repro.fleet.simulator`); ``auto`` follows the
-#: ``explore_design_space`` convention — ``vectorized`` when NumPy is
-#: importable, else ``scalar``.
+#: Simulation execution strategies. ``scalar`` runs the fleet engine's
+#: per-event Python oracle; ``auto``, ``vectorized`` and ``fleet`` all
+#: run its vectorized chunk kernel (one draw stream, so they return the
+#: same bits — statistically, not bitwise, equivalent to ``scalar``).
 SIMULATOR_BACKENDS = ("auto", "scalar", "vectorized", "fleet")
+
+#: Months per fleet-engine chunk for a fleet of one: one chunk covers
+#: any validation horizon the explorer runs.
+_FLEET_OF_ONE_MONTH_CHUNK = 1 << 16
 
 
 @dataclass
@@ -52,22 +59,24 @@ class MonthOutcome:
 
 
 class SimulationSummary:
-    """Aggregate over many simulated months.
+    """Aggregate over many simulated months, backed by per-month columns.
 
-    The scalar loop builds it from :class:`MonthOutcome` objects. The
-    batched backends build it from per-month columns
-    (:meth:`from_columns`): the statistics then read the columns, the
-    percentiles share one cached sort, and ``months`` is materialized
-    only when accessed. Both forms give the same numbers bit for bit:
-    the means are the builtin ``sum`` over the same values in month
-    order.
+    The statistics read the columns: the means are the builtin ``sum``
+    over the per-month values in month order, the percentiles share one
+    cached sort, and ``months`` is materialized as :class:`MonthOutcome`
+    rows only when accessed (a view — editing it changes no statistic).
     """
 
-    def __init__(self, months: Optional[List[MonthOutcome]] = None) -> None:
-        self._months: Optional[List[MonthOutcome]] = (
-            [] if months is None else months
-        )
-        self._columns: Optional[tuple] = None
+    def __init__(
+        self,
+        errors: Sequence[int],
+        crashes: Sequence[int],
+        recoveries: Sequence[int],
+        incorrect: Sequence[float],
+        downtime: Sequence[float],
+    ) -> None:
+        self._columns = (errors, crashes, recoveries, incorrect, downtime)
+        self._months: Optional[List[MonthOutcome]] = None
         self._availability: Optional[List[float]] = None
         self._crashes: Optional[List[int]] = None
         self._ordered: Optional[List[float]] = None
@@ -82,10 +91,7 @@ class SimulationSummary:
         downtime: Sequence[float],
     ) -> "SimulationSummary":
         """A summary over per-month columns, in month order."""
-        summary = cls()
-        summary._months = None
-        summary._columns = (errors, crashes, recoveries, incorrect, downtime)
-        return summary
+        return cls(errors, crashes, recoveries, incorrect, downtime)
 
     @property
     def months(self) -> List[MonthOutcome]:
@@ -106,14 +112,7 @@ class SimulationSummary:
 
     def _values(self) -> Tuple[List[float], List[int]]:
         """Per-month (availability, crashes), in month order."""
-        if self._months is not None:
-            return (
-                [month.availability for month in self._months],
-                [month.crashes for month in self._months],
-            )
         if self._availability is None:
-            import numpy as np
-
             downtime = np.asarray(self._columns[4], dtype=np.float64)
             availability = 1.0 - downtime / MINUTES_PER_MONTH
             self._availability = np.where(
@@ -142,12 +141,9 @@ class SimulationSummary:
         """Availability at a given percentile of months (0-100)."""
         if not 0 <= percentile <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-        if self._months is not None:
-            ordered = sorted(month.availability for month in self._months)
-        else:
-            if self._ordered is None:
-                self._ordered = sorted(self._values()[0])
-            ordered = self._ordered
+        if self._ordered is None:
+            self._ordered = sorted(self._values()[0])
+        ordered = self._ordered
         index = min(
             len(ordered) - 1, max(0, math.ceil(percentile / 100 * len(ordered)) - 1)
         )
@@ -186,129 +182,52 @@ class AvailabilitySimulator:
         self.region_sizes = {
             region: sizes.get(region, 0) for region in self.policies
         }
-        total = sum(self.region_sizes.values())
-        if total <= 0:
+        if sum(self.region_sizes.values()) <= 0:
             raise ValueError("design covers no sized regions")
-        self._region_names = list(self.policies)
-        self._region_weights = [
-            self.region_sizes[region] / total for region in self._region_names
-        ]
-
-    def _arrival_rate(self) -> float:
-        """Expected errors per month across all regions (with L uplift)."""
-        rate = 0.0
-        for region, weight in zip(self._region_names, self._region_weights):
-            rate += self.error_model.region_rate(
-                weight, self.policies[region].less_tested
-            )
-        return rate
-
-    def simulate_month(self, rng: random.Random) -> MonthOutcome:
-        """Simulate one server-month of Poisson error arrivals."""
-        outcome = MonthOutcome()
-        # Per-region arrival rates; sample counts then resolve each error.
-        for region, weight in zip(self._region_names, self._region_weights):
-            policy = self.policies[region]
-            rate = self.error_model.region_rate(weight, policy.less_tested)
-            # Exact Knuth/PTRS Poisson sample (returns 0 at rate 0).
-            # Historically a local wrapper used a normal approximation
-            # above mean 500; delegating to the exact sampler changed
-            # the draw sequence but not the statistics.
-            count = poisson_variate(rng, rate)
-            outcome.errors += count
-            crash_probability = self.profile.region_crash_probability(
-                region, self.error_label
-            )
-            stats = self.profile.cells.get((region, self.error_label))
-            incorrect_per_error = 0.0
-            if stats is not None and stats.trials:
-                incorrect_per_error = (
-                    stats.incorrect_responses + stats.failed_requests
-                ) / stats.trials
-            for _ in range(count):
-                if policy.technique.corrects_single_bit:
-                    continue
-                if (
-                    policy.technique.detects_single_bit
-                    and policy.response is SoftwareResponse.RECOVER
-                    and rng.random() < policy.recoverable_fraction
-                ):
-                    outcome.recoveries += 1
-                    continue
-                if rng.random() < crash_probability:
-                    outcome.crashes += 1
-                    outcome.downtime_minutes += self.params.crash_recovery_minutes
-                else:
-                    outcome.incorrect_responses += incorrect_per_error
-        return outcome
 
     def simulate(self, months: int, seed: int = 0) -> SimulationSummary:
-        """Simulate many server-months.
+        """Simulate ``months`` server-months on the fleet engine.
 
-        The ``vectorized`` backend draws from a different (NumPy) stream
-        than the scalar per-event loop, so its summaries are
-        statistically — not bitwise — equivalent.
+        ``scalar`` runs the engine's per-event oracle, every other
+        backend its vectorized kernel; the two draw from different
+        streams, so their summaries agree statistically, not bitwise.
         """
         if months <= 0:
             raise ValueError(f"months must be positive, got {months}")
-        backend = self.backend
-        if backend == "auto":
-            from repro.core.optimizer import _numpy_available
-
-            backend = "vectorized" if _numpy_available() else "scalar"
-        if backend == "vectorized":
-            from repro.explore.simulator import BatchAvailabilitySimulator
-
-            batch = BatchAvailabilitySimulator(
-                self.profile,
-                [self.policies],
-                error_model=self.error_model,
-                params=self.params,
-                error_label=self.error_label,
-                region_sizes=self.region_sizes,
-            )
-            return batch.simulate(months, seed=seed).to_summary(0)
-        if backend == "fleet":
-            return self._simulate_fleet_of_one(months, seed)
-        rng = random.Random(seed)
+        backend = "scalar" if self.backend == "scalar" else "vectorized"
+        result = FleetSimulator(
+            self._fleet_of_one(months), params=self.params
+        ).simulate(seed=seed, backend=backend)
         return SimulationSummary(
-            [self.simulate_month(rng) for _ in range(months)]
-        )
-
-    def _simulate_fleet_of_one(self, months: int, seed: int) -> SimulationSummary:
-        """Delegate to the fleet engine: one server, no fleet effects.
-
-        Aging is flat, correlation disabled, and refurbishment is
-        scheduled past the horizon, so the fleet chain reduces to the
-        same Poisson/binomial month model (different draw stream —
-        statistically, not bitwise, equivalent to ``scalar``).
-        """
-        from repro.core.mapping import HRMDesign
-        from repro.fleet.config import FleetConfig
-        from repro.fleet.layout import FleetLayout
-        from repro.fleet.simulator import FleetSimulator
-
-        config = FleetConfig(
-            servers=1,
-            months=months,
-            retirement_age_months=months + 1,
-            repair_downtime_minutes=0.0,
-        )
-        design = HRMDesign("fleet-of-one", self.policies)
-        layout = FleetLayout(
-            self.profile,
-            [design],
-            {"fleet-of-one": 1},
-            config,
-            error_model=self.error_model,
-            error_label=self.error_label,
-            region_sizes=self.region_sizes,
-        )
-        result = FleetSimulator(layout, params=self.params).simulate(seed=seed)
-        return SimulationSummary.from_columns(
             result.errors_by_month,
             result.crashes_by_month,
             result.recoveries_by_month,
             result.incorrect_by_month,
             result.downtime_by_month,
+        )
+
+    def _fleet_of_one(self, months: int) -> FleetLayout:
+        """The fleet layout every backend simulates: one server, no
+        fleet effects.
+
+        Aging is flat, correlation disabled, and refurbishment falls
+        past the horizon, so the fleet chain reduces to the single-server
+        Poisson/binomial month model.
+        """
+        config = FleetConfig(
+            servers=1,
+            months=months,
+            retirement_age_months=months + 1,
+            repair_downtime_minutes=0.0,
+            month_chunk=_FLEET_OF_ONE_MONTH_CHUNK,
+        )
+        design = FleetDesign(name="fleet-of-one", policies=self.policies)
+        return FleetLayout(
+            self.profile,
+            [design],
+            {design.name: 1},
+            config,
+            error_model=self.error_model,
+            error_label=self.error_label,
+            region_sizes=self.region_sizes,
         )

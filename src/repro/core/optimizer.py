@@ -28,19 +28,10 @@ from repro.core.vulnerability import VulnerabilityProfile
 from repro.utils.validation import check_fraction
 
 #: Search execution strategies accepted by :class:`MappingOptimizer`.
-#: ``auto`` resolves to ``vectorized`` when NumPy is importable and
-#: ``scalar`` otherwise — safe because the two backends are
-#: bit-identical (the batch engine replicates the scalar evaluator's
+#: ``auto`` resolves to ``vectorized`` — safe because the two backends
+#: are bit-identical (the batch engine replicates the scalar evaluator's
 #: floating-point operation order; see :mod:`repro.explore`).
 SEARCH_BACKENDS = ("auto", "scalar", "vectorized")
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 #: Policy candidates enumerated per region by the optimizer: the
@@ -132,11 +123,7 @@ class MappingOptimizer:
 
     def resolved_backend(self) -> str:
         """The backend that will actually run (``auto`` resolved)."""
-        if self.backend == "auto":
-            return "vectorized" if _numpy_available() else "scalar"
-        if self.backend == "vectorized" and not _numpy_available():
-            raise RuntimeError("backend='vectorized' requires numpy")
-        return self.backend
+        return "vectorized" if self.backend == "auto" else self.backend
 
     def contribution_matrix(self, regions: Optional[Sequence[str]] = None):
         """Per-(region, candidate) contribution matrix for this search.

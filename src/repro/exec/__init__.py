@@ -16,6 +16,7 @@ from repro.exec.parallel import (
     ParallelCampaignRunner,
     ShardResult,
     TrialResult,
+    WorkerLostError,
     merge_shard_results,
     resolve_start_method,
     run_shard_on,
@@ -43,6 +44,7 @@ __all__ = [
     "ParallelCampaignRunner",
     "ShardResult",
     "TrialResult",
+    "WorkerLostError",
     "merge_shard_results",
     "resolve_start_method",
     "run_shard_on",

@@ -5,7 +5,7 @@ because the Figure 2 loop is embarrassingly parallel across
 (region × error type × trial) cells. This module reproduces that
 scale-out in-process: :class:`ParallelCampaignRunner` shards the
 campaign grid (:func:`repro.exec.cells.plan_shards`), executes the
-shards on a ``multiprocessing`` pool, and merges the per-trial results
+shards on a process pool, and merges the per-trial results
 back into a :class:`~repro.core.vulnerability.VulnerabilityProfile` in
 canonical campaign order.
 
@@ -29,7 +29,10 @@ rebuilt campaigns measure identical trials.
 
 Failures inside a worker (a bad region name, a broken workload factory)
 propagate: the pool is torn down and the original exception is raised
-in the caller.
+in the caller. A worker process that dies outright (killed, crashed,
+``os._exit``) raises :class:`WorkerLostError` naming the shard(s) it
+took down, instead of leaving the caller waiting for a result that
+will never come.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import logging
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -62,15 +67,37 @@ logger = logging.getLogger("repro.parallel")
 _WORKER_CAMPAIGN = None
 
 #: Exception raised while bootstrapping this worker's campaign. Kept
-#: instead of raising from the initializer itself: a Pool initializer
-#: that raises makes the pool respawn workers forever, so the error is
-#: surfaced from the first shard task instead.
+#: instead of raising from the initializer itself: an initializer that
+#: raises breaks the whole pool without the original error, so the
+#: error is surfaced from the first shard task instead.
 _WORKER_BOOTSTRAP_ERROR: Optional[BaseException] = None
+
+#: Shared per-shard flags: a worker sets ``flags[i]`` when it starts
+#: shard ``i``, so the parent can name the shards a dead worker took
+#: down. Inherited under fork, passed to the initializer under spawn.
+_WORKER_STARTED = None
 
 #: Whether workers should capture trace events for relay to the parent.
 #: Set by fork inheritance (the parent assigns it just before creating
 #: the pool) or by :func:`_worker_initializer` under spawn.
 _WORKER_TRACE = False
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker process died before returning its shard.
+
+    ``shards`` holds the shards that were running when the pool broke
+    (every unfinished shard if none had started).
+    """
+
+    def __init__(self, shards: Sequence[CellShard]) -> None:
+        self.shards = tuple(shards)
+        lost = ", ".join(
+            f"{shard.cell.name}|{shard.cell.spec.label} "
+            f"trials {list(shard.trial_indices())}"
+            for shard in self.shards
+        )
+        super().__init__(f"a campaign worker process died; lost shard(s): {lost}")
 
 
 @dataclass(frozen=True)
@@ -111,16 +138,18 @@ class ShardResult:
 
 def _worker_initializer(
     workload_factory, config, trace_enabled=False, backend="scalar",
-    region_codecs=None,
+    region_codecs=None, started=None,
 ) -> None:
     """Build and prepare a fresh campaign in a spawned worker.
 
     Never raises — see :data:`_WORKER_BOOTSTRAP_ERROR`.
     """
     global _WORKER_CAMPAIGN, _WORKER_BOOTSTRAP_ERROR, _WORKER_TRACE
+    global _WORKER_STARTED
     from repro.core.campaign import CharacterizationCampaign
 
     _WORKER_TRACE = trace_enabled
+    _WORKER_STARTED = started
     try:
         campaign = CharacterizationCampaign(
             workload_factory(), config=config, backend=backend,
@@ -203,8 +232,10 @@ def run_shard_on(
     )
 
 
-def _execute_shard(shard: CellShard) -> ShardResult:
-    """Pool task: run one shard on this worker's campaign."""
+def _execute_shard(index: int, shard: CellShard) -> ShardResult:
+    """Pool task: run shard ``index`` on this worker's campaign."""
+    if _WORKER_STARTED is not None:
+        _WORKER_STARTED[index] = 1
     campaign = _WORKER_CAMPAIGN
     if campaign is None:
         if _WORKER_BOOTSTRAP_ERROR is not None:
@@ -303,6 +334,14 @@ def merge_shard_results(
     return ordered
 
 
+def _lost_shards(shards, started, returned) -> List[CellShard]:
+    """Shards a broken pool took down: started but never returned, or
+    every unreturned shard when none had started."""
+    unreturned = [i for i in range(len(shards)) if i not in returned]
+    lost = [i for i in unreturned if started[i]] or unreturned
+    return [shards[i] for i in lost]
+
+
 def resolve_start_method(preferred: Optional[str] = None) -> str:
     """Pick the multiprocessing start method (fork when available)."""
     available = multiprocessing.get_all_start_methods()
@@ -316,7 +355,7 @@ def resolve_start_method(preferred: Optional[str] = None) -> str:
 
 
 class ParallelCampaignRunner:
-    """Runs a campaign's cell grid on a multiprocessing worker pool."""
+    """Runs a campaign's cell grid on a process pool."""
 
     def __init__(
         self,
@@ -347,7 +386,7 @@ class ParallelCampaignRunner:
         mutated by the pool (workers operate on forked or rebuilt
         copies), so shared workload fixtures stay pristine.
         """
-        global _WORKER_CAMPAIGN, _WORKER_TRACE
+        global _WORKER_CAMPAIGN, _WORKER_TRACE, _WORKER_STARTED
         observer = campaign.observer
         backend = getattr(campaign, "backend", "scalar")
         synthesized: Dict[int, List[TrialResult]] = {}
@@ -374,10 +413,12 @@ class ParallelCampaignRunner:
         shard_results: List[ShardResult] = []
         if shards:
             context = multiprocessing.get_context(self.start_method)
+            started = context.RawArray("b", len(shards))
             if self.start_method == "fork":
                 initializer, initargs = None, ()
                 _WORKER_CAMPAIGN = campaign  # inherited by forked workers
                 _WORKER_TRACE = observer.enabled
+                _WORKER_STARTED = started
             else:
                 if self.workload_factory is None:
                     raise RuntimeError(
@@ -391,6 +432,7 @@ class ParallelCampaignRunner:
                     observer.enabled,
                     backend,
                     getattr(campaign, "region_codecs", None),
+                    started,
                 )
 
             pool_size = min(self.workers, len(shards))
@@ -398,29 +440,46 @@ class ParallelCampaignRunner:
                 "pool: %d workers (%s), %d shards, %d trials",
                 pool_size, self.start_method, len(shards), trials_total,
             )
+            pool = ProcessPoolExecutor(
+                max_workers=pool_size,
+                mp_context=context,
+                initializer=initializer,
+                initargs=initargs,
+            )
             try:
-                with context.Pool(
-                    processes=pool_size, initializer=initializer, initargs=initargs
-                ) as pool:
-                    for shard_result in pool.imap_unordered(_execute_shard, shards):
-                        shard_results.append(shard_result)
-                        trials_done += len(shard_result.results)
-                        emit_progress(
-                            self.progress,
-                            clock,
-                            trials_done=trials_done,
-                            trials_total=trials_total,
-                            worker_pid=shard_result.worker_pid,
-                            shard_trials=len(shard_result.results),
-                            shard_seconds=shard_result.seconds,
-                            cell_name=shard_result.cell_name,
-                            error_label=shard_result.error_label,
-                            observer=observer,
-                        )
+                futures = {
+                    pool.submit(_execute_shard, index, shard): index
+                    for index, shard in enumerate(shards)
+                }
+                returned = set()
+                for future in as_completed(futures):
+                    try:
+                        shard_result = future.result()
+                    except BrokenProcessPool as exc:
+                        raise WorkerLostError(
+                            _lost_shards(shards, started, returned)
+                        ) from exc
+                    returned.add(futures[future])
+                    shard_results.append(shard_result)
+                    trials_done += len(shard_result.results)
+                    emit_progress(
+                        self.progress,
+                        clock,
+                        trials_done=trials_done,
+                        trials_total=trials_total,
+                        worker_pid=shard_result.worker_pid,
+                        shard_trials=len(shard_result.results),
+                        shard_seconds=shard_result.seconds,
+                        cell_name=shard_result.cell_name,
+                        error_label=shard_result.error_label,
+                        observer=observer,
+                    )
             finally:
+                pool.shutdown(wait=True, cancel_futures=True)
                 if self.start_method == "fork":
                     _WORKER_CAMPAIGN = None
                     _WORKER_TRACE = False
+                    _WORKER_STARTED = None
 
         ordered = merge_shard_results(
             profile, cells, shard_results, observer, synthesized or None

@@ -8,8 +8,8 @@
 2. search — exhaustive (``scalar`` / ``vectorized``, byte-identical to
    :class:`~repro.core.optimizer.MappingOptimizer`) or bounded
    (``branch-and-bound``, exact top-k with admissible pruning);
-3. optionally validate the winner with a Monte Carlo simulation
-   (vectorized when NumPy is importable) and report percentile
+3. optionally validate the winner with a Monte Carlo simulation on
+   the fleet engine's vectorized kernel and report percentile
    confidence bounds next to the analytic prediction.
 
 Backends return identical designs; they differ only in cost:
@@ -18,7 +18,7 @@ Backends return identical designs; they differ only in cost:
 ``scalar``              reference; O(space) full evaluations
 ``vectorized``          O(space) NumPy chunk evaluations
 ``branch-and-bound``    exact top-k without visiting the whole space
-``auto``                ``vectorized`` if NumPy imports, else scalar
+``auto``                ``vectorized``
 ======================  ============================================
 
 ``top_k``: when ``None``, the result carries the *full* feasible list
@@ -41,7 +41,6 @@ from repro.core.optimizer import (
     DEFAULT_CANDIDATES,
     MappingOptimizer,
     OptimizationResult,
-    _numpy_available,
 )
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.obs.events import SPAN_EXPLORE, SPAN_EXPLORE_PHASE
@@ -142,9 +141,7 @@ def explore(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if simulate_months < 0:
         raise ValueError(f"simulate_months must be >= 0, got {simulate_months}")
-    resolved = backend
-    if resolved == "auto":
-        resolved = "vectorized" if _numpy_available() else "scalar"
+    resolved = "vectorized" if backend == "auto" else backend
     evaluator = DesignEvaluator(
         profile,
         cost_model=cost_model,
@@ -397,7 +394,6 @@ def _validate_by_simulation(
 ) -> SimulationValidation:
     from repro.cluster.availability_sim import AvailabilitySimulator
 
-    backend = "vectorized" if _numpy_available() else "scalar"
     simulator = AvailabilitySimulator(
         profile,
         best.design.policies,
@@ -405,14 +401,14 @@ def _validate_by_simulation(
         params=evaluator.availability_params,
         error_label=evaluator.error_label,
         region_sizes=evaluator.region_sizes,
-        backend=backend,
+        backend="vectorized",
     )
     summary = simulator.simulate(months, seed=seed)
     return SimulationValidation(
         design_name=best.design.name,
         months=months,
         seed=seed,
-        backend=backend,
+        backend="vectorized",
         mean_availability=summary.mean_availability,
         analytic_availability=best.availability,
         mean_crashes=summary.mean_crashes,

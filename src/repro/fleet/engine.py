@@ -12,7 +12,7 @@ five Table 6 design points) and resolve missing ``server_cost_savings``
 through the standard :class:`~repro.core.mapping.DesignEvaluator`.
 
 Backend convention matches ``explore_design_space``: ``auto`` resolves
-to ``vectorized`` when NumPy imports, else the scalar reference.
+to ``vectorized``; ``scalar`` is the per-event reference.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.cost_model import CostModel
 from repro.core.mapping import DesignEvaluator, HRMDesign, paper_design_points
-from repro.core.optimizer import _numpy_available
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet.analytic import (
     AnalyticFleetModel,
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 #: Backends accepted by :func:`simulate_fleet` (``auto`` resolves to
-#: ``vectorized`` when NumPy is importable, like the explorer).
+#: ``vectorized``, like the explorer).
 FLEET_BACKENDS = ("auto", "scalar", "vectorized")
 
 DesignLike = Union[FleetDesign, HRMDesign]
@@ -120,9 +119,7 @@ def _resolve_backend(backend: str) -> str:
         raise ValueError(
             f"unknown backend '{backend}'; expected one of {FLEET_BACKENDS}"
         )
-    if backend == "auto":
-        return "vectorized" if _numpy_available() else "scalar"
-    return backend
+    return "vectorized" if backend == "auto" else backend
 
 
 def simulate_fleet(

@@ -1,16 +1,19 @@
 """Monte Carlo fleet availability simulation (servers × months).
 
-Scales the per-design Poisson/binomial chain of
-:class:`repro.explore.simulator.BatchAvailabilitySimulator` from one
-server to a composed fleet: every server runs one HRM design, carries a
-deterministic device age (staggered deployment, rolling refurbishment)
-and an optional bad-DIMM-batch multiplier, and the fleet additionally
-absorbs *correlated* shared-rank/row shock events that hit whole
-cohorts within a month. Traffic routes around downtime: demand is a
-fraction of total capacity and surviving servers absorb failed-over
+The package's one stochastic availability engine. Samples the
+per-design Poisson/binomial month chain — Poisson error arrivals per
+region, binomial recovery thinning, binomial crash-vs-incorrect
+thinning — over a composed fleet: every server runs one HRM design,
+carries a deterministic device age (staggered deployment, rolling
+refurbishment) and an optional bad-DIMM-batch multiplier, and the fleet
+additionally absorbs *correlated* shared-rank/row shock events that hit
+whole cohorts within a month. Traffic routes around downtime: demand is
+a fraction of total capacity and surviving servers absorb failed-over
 load until the headroom is gone, so fleet availability is
 ``served / demand`` — a nonlinear function of composition, which is
-what the mixed-fleet optimizer exploits.
+what the mixed-fleet optimizer exploits. A fleet of one server with no
+fleet effects is the single-server model behind
+:class:`repro.cluster.availability_sim.AvailabilitySimulator`.
 
 Determinism contract: results are **byte-identical** across runs and
 across ``workers`` counts. Months are simulated in fixed
@@ -20,8 +23,9 @@ canonical block order, and writes a disjoint month slice — thread
 scheduling cannot reorder anything observable.
 
 The ``scalar`` backend is the honest per-event Python reference
-(statistically equivalent, different draw stream) that the fleet
-benchmark races against.
+(statistically equivalent, different draw stream): the package's one
+scalar oracle, which the fleet benchmark and the equivalence tests race
+against.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.availability import MINUTES_PER_MONTH, AvailabilityParams
 from repro.fleet.layout import FleetLayout
@@ -220,8 +226,6 @@ class FleetSimulator:
                 f"unknown backend '{backend}'; "
                 "expected 'scalar' or 'vectorized'"
             )
-        import numpy as np
-
         config = self.layout.config
         months = config.months
         chunk = config.month_chunk
@@ -231,9 +235,7 @@ class FleetSimulator:
         def run_chunk(index: int):
             start = starts[index]
             stop = min(start + chunk, months)
-            outputs[index] = self._simulate_chunk(
-                np, seed, index, start, stop
-            )
+            outputs[index] = self._simulate_chunk(seed, index, start, stop)
 
         if workers == 1 or len(starts) == 1:
             for index in range(len(starts)):
@@ -241,9 +243,9 @@ class FleetSimulator:
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_chunk, range(len(starts))))
-        return self._merge(np, outputs, seed, workers, "vectorized")
+        return self._merge(outputs, seed, workers)
 
-    def _simulate_chunk(self, np, seed: int, index: int, start: int, stop: int):
+    def _simulate_chunk(self, seed: int, index: int, start: int, stop: int):
         """One deterministic month chunk; draws in canonical order."""
         layout = self.layout
         config = layout.config
@@ -323,7 +325,6 @@ class FleetSimulator:
         served = np.minimum(demand, capacity)
         availability = served / demand
         return {
-            "start": start,
             "errors": errors,
             "crashes": crashes,
             "recoveries": recoveries,
@@ -337,64 +338,45 @@ class FleetSimulator:
             "design_crashes": design_crashes,
         }
 
-    def _merge(self, np, outputs, seed, workers, backend):
+    def _merge(self, outputs, seed, workers) -> FleetSimulationResult:
+        """Concatenate the chunk outputs, in chunk order."""
         config = self.layout.config
         months = config.months
         composition = self.layout.composition()
-        result = FleetSimulationResult(
-            backend=backend,
+
+        def column(key: str) -> list:
+            return np.concatenate([chunk[key] for chunk in outputs]).tolist()
+
+        downtime_by_design = {name: 0.0 for name in composition}
+        crashes_by_design = {name: 0 for name in composition}
+        for chunk in outputs:
+            for name, value in chunk["design_downtime"].items():
+                downtime_by_design[name] += value
+            for name, value in chunk["design_crashes"].items():
+                crashes_by_design[name] += value
+        return FleetSimulationResult(
+            backend="vectorized",
             seed=seed,
             workers=workers,
             servers=self.layout.servers,
             months=months,
             demand_fraction=config.demand_fraction,
             composition=composition,
-            errors_by_month=[0] * months,
-            crashes_by_month=[0] * months,
-            recoveries_by_month=[0] * months,
-            incorrect_by_month=[0.0] * months,
-            shock_hits_by_month=[0] * months,
-            repairs_by_month=[0] * months,
-            downtime_by_month=[0.0] * months,
-            capacity_by_month=[0.0] * months,
-            availability_by_month=[0.0] * months,
-            downtime_by_design={name: 0.0 for name in composition},
-            crashes_by_design={name: 0 for name in composition},
+            errors_by_month=column("errors"),
+            crashes_by_month=column("crashes"),
+            recoveries_by_month=column("recoveries"),
+            incorrect_by_month=column("incorrect"),
+            shock_hits_by_month=column("shock_hits"),
+            repairs_by_month=column("repairs"),
+            downtime_by_month=column("downtime"),
+            capacity_by_month=column("capacity"),
+            availability_by_month=column("availability"),
+            downtime_by_design=downtime_by_design,
+            crashes_by_design=crashes_by_design,
             server_months_by_design={
                 name: count * months for name, count in composition.items()
             },
         )
-        for chunk in outputs:
-            start = chunk["start"]
-            span = len(chunk["errors"])
-            for offset in range(span):
-                month = start + offset
-                result.errors_by_month[month] = int(chunk["errors"][offset])
-                result.crashes_by_month[month] = int(chunk["crashes"][offset])
-                result.recoveries_by_month[month] = int(
-                    chunk["recoveries"][offset]
-                )
-                result.incorrect_by_month[month] = float(
-                    chunk["incorrect"][offset]
-                )
-                result.shock_hits_by_month[month] = int(
-                    chunk["shock_hits"][offset]
-                )
-                result.repairs_by_month[month] = int(chunk["repairs"][offset])
-                result.downtime_by_month[month] = float(
-                    chunk["downtime"][offset]
-                )
-                result.capacity_by_month[month] = float(
-                    chunk["capacity"][offset]
-                )
-                result.availability_by_month[month] = float(
-                    chunk["availability"][offset]
-                )
-            for name, value in chunk["design_downtime"].items():
-                result.downtime_by_design[name] += value
-            for name, value in chunk["design_crashes"].items():
-                result.crashes_by_design[name] += value
-        return result
 
     # -- scalar reference backend -------------------------------------
 
@@ -447,8 +429,8 @@ class FleetSimulator:
                     server_downtime = 0.0
                     for i in range(len(table.regions)):
                         # Poisson arrivals, then per-event thinning — the
-                        # same chain AvailabilitySimulator.simulate_month
-                        # runs, with the aging/batch multiplier applied.
+                        # vectorized kernel's chain, with the aging/batch
+                        # multiplier applied.
                         count = poisson_variate(
                             rng, float(block.rates[i]) * mult
                         )

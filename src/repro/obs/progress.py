@@ -13,8 +13,6 @@ same shard-completion signal that feeds the structured event stream:
 :func:`emit_progress` fans one completed shard out to the legacy
 callback *and*, as a ``progress`` point event, to an
 :class:`~repro.obs.trace.Observer` (trace sinks + metrics registry).
-They remain importable from :mod:`repro.exec.progress` for backward
-compatibility.
 """
 
 from __future__ import annotations

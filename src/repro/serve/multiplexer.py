@@ -439,6 +439,17 @@ async def serve_session(
     recent_actions: Deque[dict] = deque(maxlen=12)
     published_seq = 0
 
+    def note_response(tick: int, tenant: str, attrs: dict) -> None:
+        """Fold one appended response event into the instruments and
+        the /status views."""
+        action = str(attrs.get("action", "?"))
+        instruments.record_response(
+            tenant, action, pages_retired=len(attrs.get("pages_retired", ()))
+        )
+        totals = resp_totals[tenant]
+        totals[action] = totals.get(action, 0) + 1
+        recent_actions.append({"tick": tick, "tenant": tenant, "action": action})
+
     writer = LedgerWriter(ledger_path)
     footprints = unmapped = retired = 0
     with writer, observer.span(
@@ -505,18 +516,7 @@ async def serve_session(
                 ):
                     writer.append(tick, kind, tenant=tenant.name, attrs=attrs)
                     if kind == EVENT_RESPONSE:
-                        action = str(attrs.get("action", "?"))
-                        instruments.record_response(
-                            tenant.name,
-                            action,
-                            pages_retired=len(attrs.get("pages_retired", ())),
-                        )
-                        totals = resp_totals[tenant.name]
-                        totals[action] = totals.get(action, 0) + 1
-                        recent_actions.append(
-                            {"tick": tick, "tenant": tenant.name,
-                             "action": action}
-                        )
+                        note_response(tick, tenant.name, attrs)
 
             # Phase 2: concurrent tenant tasks (task-local state only).
             buffers = await asyncio.gather(
@@ -549,18 +549,7 @@ async def serve_session(
                                 attrs=alert,
                             )
                     elif kind == EVENT_RESPONSE:
-                        action = str(attrs.get("action", "?"))
-                        instruments.record_response(
-                            tenant.name,
-                            action,
-                            pages_retired=len(attrs.get("pages_retired", ())),
-                        )
-                        totals = resp_totals[tenant.name]
-                        totals[action] = totals.get(action, 0) + 1
-                        recent_actions.append(
-                            {"tick": tick, "tenant": tenant.name,
-                             "action": action}
-                        )
+                        note_response(tick, tenant.name, attrs)
                 instruments.set_backlog(
                     tenant.name, len(states[tenant.name].backlog)
                 )

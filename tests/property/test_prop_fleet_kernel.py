@@ -5,10 +5,12 @@
 behind :func:`analyze_fleet` promise the *same bits* as the scalar
 per-composition, per-month paths they replaced; the column-backed
 :class:`SimulationSummary` promises the same statistics as the eager
-list of :class:`MonthOutcome`. Hypothesis varies design subsets, simplex
-steps, small odd fleets (apportionment ties), zero headroom, shock-free
-months (``std == 0``), bad batches and heavily failing profiles (normal
-tail cells above the -40 cutoff).
+list of :class:`MonthOutcome`, and every :class:`AvailabilitySimulator`
+backend returns the fleet engine's fleet-of-one columns bit for bit.
+Hypothesis varies design subsets, simplex steps, small odd fleets
+(apportionment ties), zero headroom, shock-free months (``std == 0``),
+bad batches and heavily failing profiles (normal tail cells above the
+-40 cutoff).
 """
 
 import dataclasses
@@ -33,6 +35,8 @@ from repro.fleet import (
     CorrelationConfig,
     FleetConfig,
     FleetDesign,
+    FleetLayout,
+    FleetSimulator,
     analyze_fleet,
     apportion_servers,
     optimize_fleet,
@@ -332,17 +336,39 @@ class TestRoutedAvailability:
         assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
 
 
-def eager_months(result, design=0):
-    """The month objects batched results used to materialize eagerly."""
+def fleet_of_one(prof, policies, months, seed, backend="vectorized"):
+    """The fleet-engine run behind ``AvailabilitySimulator``, built here
+    from its documented layout: one server, flat aging, no correlation,
+    refurbishment past the horizon, one 65 536-month chunk."""
+    config = FleetConfig(
+        servers=1,
+        months=months,
+        retirement_age_months=months + 1,
+        repair_downtime_minutes=0.0,
+        month_chunk=1 << 16,
+    )
+    design = FleetDesign(name="one", policies=policies)
+    layout = FleetLayout(prof, [design], {"one": 1}, config)
+    return FleetSimulator(layout).simulate(seed=seed, backend=backend)
+
+
+def eager_months(result):
+    """The month objects a fleet result's columns describe."""
     return [
         MonthOutcome(
-            errors=int(result.errors[design, m]),
-            crashes=int(result.crashes[design, m]),
-            recoveries=int(result.recoveries[design, m]),
-            incorrect_responses=float(result.incorrect[design, m]),
-            downtime_minutes=float(result.downtime[design, m]),
+            errors=int(errors),
+            crashes=int(crashes),
+            recoveries=int(recoveries),
+            incorrect_responses=float(incorrect),
+            downtime_minutes=float(downtime),
         )
-        for m in range(result.months)
+        for errors, crashes, recoveries, incorrect, downtime in zip(
+            result.errors_by_month,
+            result.crashes_by_month,
+            result.recoveries_by_month,
+            result.incorrect_by_month,
+            result.downtime_by_month,
+        )
     ]
 
 
@@ -378,24 +404,22 @@ class TestColumnSummary:
         months=st.sampled_from((1, 37, 500, 2400)),
     )
     def test_column_summary_equals_eager(self, prof, seed, months):
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
         policies = dict(
             paper_design_points(sorted(prof.region_sizes), RECOVERABLE)[
                 2
             ].policies
         )
-        result = BatchAvailabilitySimulator(prof, [policies]).simulate(
-            months, seed=seed
-        )
-        column = result.to_summary(0)
-        months = eager_months(result)
+        column = AvailabilitySimulator(
+            prof, policies, backend="vectorized"
+        ).simulate(months, seed=seed)
+        months = eager_months(fleet_of_one(prof, policies, months, seed))
         expected = repr(oracle_stats(months))
         assert repr(summary_stats(column)) == expected
         # Materializing months is lazy and changes no statistic.
         assert column.months == months
         assert repr(summary_stats(column)) == expected
-        assert column == SimulationSummary(months)
+        rows = [dataclasses.astuple(month) for month in months]
+        assert column == SimulationSummary(*map(list, zip(*rows)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2014, 99991])
     def test_vectorized_simulate_matches_eager(self, seed):
@@ -408,17 +432,52 @@ class TestColumnSummary:
             for _ in range(400):
                 cell.record(ErrorOutcome.MASKED_LOGIC, 100, 0, 0, None)
         design = paper_design_points(sorted(prof.region_sizes))[1]
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
-        simulator = AvailabilitySimulator(
+        summary = AvailabilitySimulator(
             prof, design.policies, backend="vectorized"
-        )
-        summary = simulator.simulate(3000, seed=seed)
-        batch = BatchAvailabilitySimulator(
-            prof, [simulator.policies], region_sizes=simulator.region_sizes
         ).simulate(3000, seed=seed)
+        fleet = fleet_of_one(prof, dict(design.policies), 3000, seed)
         assert repr(summary_stats(summary)) == repr(
-            oracle_stats(eager_months(batch))
+            oracle_stats(eager_months(fleet))
+        )
+
+    @pytest.mark.parametrize(
+        "backend, engine",
+        [
+            ("auto", "vectorized"),
+            ("vectorized", "vectorized"),
+            ("fleet", "vectorized"),
+            ("scalar", "scalar"),
+        ],
+    )
+    def test_backend_columns_equal_fleet_engine(self, backend, engine):
+        prof = VulnerabilityProfile(app="columns")
+        prof.region_sizes = {"heap": 900, "stack": 100}
+        for region in prof.region_sizes:
+            cell = prof.cell(region, "single-bit soft")
+            for _ in range(30):
+                cell.record(ErrorOutcome.CRASH, 10, 0, 10, 0.5)
+            for _ in range(20):
+                cell.record(ErrorOutcome.INCORRECT, 100, 2, 0, 5.0)
+            for _ in range(950):
+                cell.record(ErrorOutcome.MASKED_LOGIC, 100, 0, 0, None)
+        policies = dict(
+            paper_design_points(sorted(prof.region_sizes), RECOVERABLE)[
+                2
+            ].policies
+        )
+        summary = AvailabilitySimulator(
+            prof, policies, backend=backend
+        ).simulate(240, seed=2014)
+        fleet = fleet_of_one(prof, policies, 240, 2014, backend=engine)
+        months = summary.months
+        assert [m.errors for m in months] == fleet.errors_by_month
+        assert [m.crashes for m in months] == fleet.crashes_by_month
+        assert [m.recoveries for m in months] == fleet.recoveries_by_month
+        assert bits(m.incorrect_responses for m in months) == bits(
+            fleet.incorrect_by_month
+        )
+        assert bits(m.downtime_minutes for m in months) == bits(
+            fleet.downtime_by_month
         )
 
     def test_empty_and_bad_percentile(self):
@@ -431,11 +490,15 @@ class TestColumnSummary:
         with pytest.raises(ValueError, match="percentile"):
             summary.availability_percentile(101)
 
-    def test_months_stay_editable_after_materializing(self):
+    def test_months_are_a_view_of_the_columns(self):
         summary = SimulationSummary.from_columns(
             [1, 2], [1, 0], [0, 0], [0.0, 0.0], [43200.0, 0.0]
         )
+        months = summary.months
+        assert summary.months is months
+        assert months[0] == MonthOutcome(1, 1, 0, 0.0, 43200.0)
+        months.append(dataclasses.replace(months[1]))
+        # The statistics read the columns, never the materialized rows.
         assert summary.mean_availability == 0.5
-        summary.months.append(dataclasses.replace(summary.months[1]))
-        assert summary.mean_availability == 2 / 3
+        assert summary.mean_crashes == 0.5
         assert summary.availability_percentile(100) == 1.0

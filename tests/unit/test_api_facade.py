@@ -2,9 +2,8 @@
 
 The facade is the supported surface for applications: everything in
 its ``__all__`` must import, the convenience entry points must work
-end-to-end, and the compatibility shims (kw-only constructors, the
-``repro.exec.progress`` deprecation alias, versioned cache
-fingerprints) must behave as documented in DESIGN.md.
+end-to-end, and the compatibility shims (kw-only constructors,
+versioned cache fingerprints) must behave as documented in DESIGN.md.
 """
 
 import importlib
@@ -64,23 +63,6 @@ class TestKeywordOnlyConstructors:
 
 
 class TestProgressShim:
-    def test_import_warns_deprecation(self):
-        import repro.exec.progress as shim
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.obs.progress" in str(w.message)
-            for w in caught
-        )
-
-    def test_shim_reexports_obs_progress(self):
-        import repro.exec.progress as shim
-        from repro.obs.progress import CampaignMetrics, ProgressEvent
-        assert shim.CampaignMetrics is CampaignMetrics
-        assert shim.ProgressEvent is ProgressEvent
-
     def test_package_imports_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -182,9 +182,10 @@ class TestAvailabilitySimulator:
 
 
 class TestVectorizedSimulatorBackend:
-    """The NumPy backend must agree with the scalar loop statistically:
-    the streams differ, so means/percentiles match within Monte Carlo
-    error, not bitwise (the contract documented in repro.explore)."""
+    """The fleet engine's vectorized kernel must agree with its scalar
+    oracle statistically: the streams differ, so means/percentiles
+    match within Monte Carlo error, not bitwise (the contract
+    documented in repro.fleet.simulator)."""
 
     POLICIES = {
         "private": RegionPolicy(technique=HardwareTechnique.NONE),
@@ -252,8 +253,8 @@ class TestVectorizedSimulatorBackend:
 
 
 class TestFleetAndAutoBackends:
-    """'fleet' delegates a fleet-of-one to repro.fleet; 'auto' follows
-    the explorer convention (vectorized when NumPy imports)."""
+    """'fleet' and 'auto' run the same fleet-of-one kernel as
+    'vectorized' (the explorer convention: 'auto' is vectorized)."""
 
     POLICIES = {
         "private": RegionPolicy(technique=HardwareTechnique.NONE),

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from repro import api
+from repro.cluster import AvailabilitySimulator
 from repro.core.design_space import (
     HardwareTechnique,
     RegionPolicy,
@@ -418,17 +419,18 @@ class TestBatchEvaluator:
 
 
 class TestBatchSimulator:
-    def make_simulator(self, profile, designs):
-        pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
+    """Batched Monte Carlo validation: ``AvailabilitySimulator`` on the
+    fleet engine's vectorized kernel, one server with no fleet effects."""
 
+    def make_simulator(self, profile, policies):
         evaluator = DesignEvaluator(profile)
-        return BatchAvailabilitySimulator(
+        return AvailabilitySimulator(
             profile,
-            designs,
+            policies,
             error_model=evaluator.error_model,
             params=evaluator.availability_params,
             region_sizes=evaluator.region_sizes,
+            backend="vectorized",
         )
 
     def policies(self, technique, response=SoftwareResponse.CONSUME):
@@ -438,73 +440,83 @@ class TestBatchSimulator:
         }
 
     def test_seed_stable(self, profile):
-        np = pytest.importorskip("numpy")
-        designs = [self.policies(HardwareTechnique.NONE)]
-        first = self.make_simulator(profile, designs).simulate(60, seed=11)
-        second = self.make_simulator(profile, designs).simulate(60, seed=11)
-        assert np.array_equal(first.errors, second.errors)
-        assert np.array_equal(first.crashes, second.crashes)
-        assert np.array_equal(first.incorrect, second.incorrect)
-        third = self.make_simulator(profile, designs).simulate(60, seed=12)
-        assert not np.array_equal(first.errors, third.errors)
+        policies = self.policies(HardwareTechnique.NONE)
+        first = self.make_simulator(profile, policies).simulate(60, seed=11)
+        second = self.make_simulator(profile, policies).simulate(60, seed=11)
+        assert first.months == second.months
+        third = self.make_simulator(profile, policies).simulate(60, seed=12)
+        assert [m.errors for m in first.months] != [
+            m.errors for m in third.months
+        ]
 
     def test_chunking_contract(self, profile):
         # Seed-stability is per (seed, month_chunk): the same chunking
         # reproduces draws exactly; a different chunking samples the
         # same distribution (different stream, same statistics).
-        np = pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
-        designs = [self.policies(HardwareTechnique.NONE)]
-        evaluator = DesignEvaluator(profile)
-        whole = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes
-        ).simulate(400, seed=3)
-        rechunked = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes, month_chunk=7
-        ).simulate(400, seed=3)
-        replayed = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes, month_chunk=7
-        ).simulate(400, seed=3)
-        assert np.array_equal(rechunked.errors, replayed.errors)
-        assert np.array_equal(rechunked.crashes, replayed.crashes)
-        assert rechunked.errors.mean() == pytest.approx(
-            whole.errors.mean(), rel=0.05
+        from repro.fleet import (
+            FleetConfig,
+            FleetDesign,
+            FleetLayout,
+            FleetSimulator,
         )
-        assert rechunked.mean_availability(0) == pytest.approx(
-            whole.mean_availability(0), abs=0.002
+
+        design = FleetDesign(
+            name="one", policies=self.policies(HardwareTechnique.NONE)
+        )
+        sizes = DesignEvaluator(profile).region_sizes
+
+        def simulate(month_chunk):
+            config = FleetConfig(
+                servers=1,
+                months=400,
+                retirement_age_months=401,
+                repair_downtime_minutes=0.0,
+                month_chunk=month_chunk,
+            )
+            layout = FleetLayout(
+                profile, [design], {"one": 1}, config, region_sizes=sizes
+            )
+            return FleetSimulator(layout).simulate(seed=3)
+
+        whole = simulate(1 << 16)
+        rechunked = simulate(7)
+        replayed = simulate(7)
+        assert rechunked.errors_by_month == replayed.errors_by_month
+        assert rechunked.crashes_by_month == replayed.crashes_by_month
+        assert sum(rechunked.errors_by_month) == pytest.approx(
+            sum(whole.errors_by_month), rel=0.05
+        )
+        assert rechunked.mean_machine_availability == pytest.approx(
+            whole.mean_machine_availability, abs=0.002
         )
 
     def test_ecc_design_never_crashes(self, profile):
-        designs = [
-            self.policies(HardwareTechnique.NONE),
-            self.policies(HardwareTechnique.SEC_DED),
-        ]
-        result = self.make_simulator(profile, designs).simulate(50, seed=4)
-        assert result.mean_crashes(1) == 0.0
-        assert result.mean_availability(1) == 1.0
-        assert result.mean_crashes(0) > 0.0
+        unprotected = self.make_simulator(
+            profile, self.policies(HardwareTechnique.NONE)
+        ).simulate(50, seed=4)
+        protected = self.make_simulator(
+            profile, self.policies(HardwareTechnique.SEC_DED)
+        ).simulate(50, seed=4)
+        assert protected.mean_crashes == 0.0
+        assert protected.mean_availability == 1.0
+        assert unprotected.mean_crashes > 0.0
 
     def test_summary_is_scalar_compatible(self, profile):
-        designs = [self.policies(HardwareTechnique.NONE)]
-        result = self.make_simulator(profile, designs).simulate(80, seed=5)
-        summary = result.to_summary(0)
+        summary = self.make_simulator(
+            profile, self.policies(HardwareTechnique.NONE)
+        ).simulate(80, seed=5)
         assert len(summary.months) == 80
+        availability = [month.availability for month in summary.months]
         assert summary.mean_availability == pytest.approx(
-            result.mean_availability(0)
+            sum(availability) / 80
         )
-        assert summary.availability_percentile(50) == (
-            result.availability_percentile(50, 0)
-        )
+        assert summary.availability_percentile(50) == sorted(availability)[39]
 
     def test_validation(self, profile):
-        pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
         with pytest.raises(ValueError):
-            BatchAvailabilitySimulator(profile, [])
+            AvailabilitySimulator(profile, {})
         simulator = self.make_simulator(
-            profile, [self.policies(HardwareTechnique.NONE)]
+            profile, self.policies(HardwareTechnique.NONE)
         )
         with pytest.raises(ValueError):
             simulator.simulate(0)

@@ -8,12 +8,17 @@ The headline guarantees of repro.exec, pinned as tests:
   other;
 * shard planning covers every (cell, trial) exactly once and merging is
   order-independent;
-* worker failures surface as exceptions in the caller;
+* worker failures surface as exceptions in the caller, and a worker
+  process that dies raises a typed error instead of hanging;
 * progress/metrics hooks account for every trial.
 """
 
 import json
+import multiprocessing
+import os
 import random
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +36,7 @@ from repro.exec import (
     ParallelCampaignRunner,
     ShardResult,
     TrialResult,
+    WorkerLostError,
     merge_shard_results,
     plan_shards,
 )
@@ -298,6 +304,47 @@ class TestWorkerFailures:
                 2,
                 {"stack": 1},
             )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the dying shard is patched into workers by fork inheritance",
+    )
+    def test_dead_worker_raises_naming_its_shard(self, monkeypatch):
+        import repro.exec.parallel as parallel
+
+        run_shard = parallel.run_shard_on
+
+        def die_on_first_stack_shard(campaign, shard, capture_events=False):
+            if shard.cell.name == "stack" and shard.trial_start == 0:
+                os._exit(9)
+            return run_shard(campaign, shard, capture_events)
+
+        monkeypatch.setattr(parallel, "run_shard_on", die_on_first_stack_shard)
+        campaign = _fresh_campaign()
+        campaign.prepare()
+
+        def hung(signum, frame):
+            raise TimeoutError("campaign still waiting on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkerLostError) as caught:
+                campaign.run(
+                    regions=["heap", "stack"],
+                    specs=(SINGLE_BIT_SOFT,),
+                    workers=2,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30.0
+        assert any(
+            shard.cell.name == "stack" and shard.trial_start == 0
+            for shard in caught.value.shards
+        )
+        assert "stack|single-bit soft" in str(caught.value)
 
     def test_invalid_worker_counts_rejected(self):
         campaign = _fresh_campaign()
