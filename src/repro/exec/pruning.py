@@ -7,10 +7,12 @@ the full client workload for every such trial. This module resolves
 those trials analytically instead: one *golden trace* per campaign
 records the byte-granular access footprint of a fault-free replay
 (per-byte first-access direction, read-ever set, exact clock/counter
-deltas), and a vectorized pre-classifier then decides whole
-:class:`~repro.kernels.planner.InjectionPlan` batches at once. Only
-trials whose flips intersect live-read vulnerable data fall through to
-the existing fast-path execution loop.
+deltas) with the address space's one access recorder
+(:meth:`~repro.memory.address_space.AddressSpace.recording`, which the
+serve plane's golden replay uses too), and a vectorized pre-classifier
+then decides whole :class:`~repro.kernels.planner.InjectionPlan`
+batches at once. Only trials whose flips intersect live-read vulnerable
+data fall through to the existing fast-path execution loop.
 
 Decidability rules
 ------------------
@@ -118,20 +120,21 @@ def record_golden_trace(
 ) -> GoldenTrace:
     """Replay the fault-free workload once and capture its footprint.
 
-    The replay runs on the oracle path (every access observed), its
-    clock/counter effects are rolled back, and the workload is reset
-    afterwards — recording is invisible to subsequent trials apart from
-    one full (rather than incremental) snapshot restore.
+    The replay runs on the oracle path — the semantics the decidability
+    rules are stated against — inside the space's access recording,
+    which observes every access and rolls the clock/counter effects
+    back. The workload is reset afterwards, so recording is invisible
+    to subsequent trials apart from one full (rather than incremental)
+    snapshot restore.
     """
     space = workload.space
     workload.reset()
     was_fast = space.fast_path_enabled
     space.set_fast_path(False)
-    space.begin_access_trace()
     try:
-        report = driver.run(range(query_budget))
+        with space.recording() as recorder:
+            report = driver.run(range(query_budget))
     finally:
-        raw = space.end_access_trace()
         space.set_fast_path(was_fast)
     workload.reset()
     if report.failed or report.incorrect:
@@ -141,10 +144,10 @@ def record_golden_trace(
         )
     return GoldenTrace(
         query_budget=query_budget,
-        first_access=raw["first_access"],
-        read_seen=raw["read_seen"],
-        end_time=int(raw["end_time"]),
-        per_region=tuple(tuple(entry) for entry in raw["per_region"]),
+        first_access=np.frombuffer(recorder.first_access, dtype=np.uint8),
+        read_seen=np.frombuffer(recorder.read_seen, dtype=np.uint8),
+        end_time=recorder.end_time,
+        per_region=recorder.per_region,
     )
 
 

@@ -21,6 +21,8 @@ Facilities provided:
 * soft bit flips and stuck-at hard faults (:mod:`repro.memory.faults`),
 * software watchpoints equivalent to the paper's ``awatch`` usage,
 * per-region access counters and optional per-page write tracking,
+* an :class:`AccessRecorder` that captures the byte- and page-granular
+  footprint of a fault-free golden replay,
 * snapshot/restore for fast campaign trial resets, with page-granular
   dirty tracking so restores copy only what a trial touched.
 
@@ -35,14 +37,17 @@ with the exact same clock/counter updates but none of the hook
 dispatch. Any access the fast path cannot prove clean falls through to
 the checked path, so results, exceptions, and side effects are
 bit-identical by construction (enforced by the hypothesis equivalence
-suite in ``tests/property/test_prop_fastpath.py``).
+suite in ``tests/property/test_prop_fastpath.py``). An attached access
+recorder widens the guard interval to the whole space, so every access
+reaches the checked path, where the recorder is notified.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,6 +74,75 @@ _STRUCT_U32X2 = struct.Struct("<II")
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 assert 1 << _PAGE_SHIFT == PAGE_SIZE, "dirty tracking needs a power-of-two page"
+
+#: ``bytearray.translate`` tables over :class:`AccessRecorder` byte
+#: states: 0 never accessed, 1 read first, 2 written first and not read
+#: since, 3 written first and read since.
+_ON_READ = bytes((1, 1, 3, 3)) + bytes(range(4, 256))
+_ON_WRITE = bytes((2,)) + bytes(range(1, 256))
+_FIRST_ACCESS = bytes((0, 1, 2, 2)) + bytes(252)
+_READ_SEEN = bytes((0, 1, 0, 1)) + bytes(252)
+
+
+class AccessRecorder:
+    """Footprint of every access made while attached to a space.
+
+    Attach one with :meth:`AddressSpace.recording`. For the whole
+    recording it keeps one state byte per address, read out as
+    :attr:`first_access` and :attr:`read_seen`; per page it keeps the
+    ``touched`` and ``written`` sets since the last :meth:`take_pages`.
+    When the recording ends the space fills in ``end_time`` (the
+    absolute clock it ended at) and ``per_region`` (``(load_ops,
+    load_bytes, store_ops, store_bytes)`` deltas in region order).
+    """
+
+    __slots__ = ("_state", "touched", "written", "end_time", "per_region")
+
+    def __init__(self, size: int) -> None:
+        self._state = bytearray(size)
+        self.touched: Set[int] = set()
+        self.written: Set[int] = set()
+        self.end_time = 0
+        self.per_region: Tuple[Tuple[int, int, int, int], ...] = ()
+
+    @property
+    def first_access(self) -> bytes:
+        """Per byte: 0 never accessed, 1 read first, 2 written first."""
+        return bytes(self._state).translate(_FIRST_ACCESS)
+
+    @property
+    def read_seen(self) -> bytes:
+        """Per byte: 1 once any load touched it, else 0."""
+        return bytes(self._state).translate(_READ_SEEN)
+
+    def note_read(self, addr: int, n: int) -> None:
+        """Record a completed load of ``[addr, addr + n)``."""
+        end = addr + n
+        state = self._state
+        state[addr:end] = state[addr:end].translate(_ON_READ)
+        first = addr >> _PAGE_SHIFT
+        last = (end - 1) >> _PAGE_SHIFT
+        if first == last:
+            self.touched.add(first)
+        else:
+            self.touched.update(range(first, last + 1))
+
+    def note_write(self, addr: int, n: int) -> None:
+        """Record a completed store to ``[addr, addr + n)``."""
+        end = addr + n
+        state = self._state
+        state[addr:end] = state[addr:end].translate(_ON_WRITE)
+        pages = range(addr >> _PAGE_SHIFT, ((end - 1) >> _PAGE_SHIFT) + 1)
+        self.touched.update(pages)
+        self.written.update(pages)
+
+    def take_pages(self) -> Tuple[List[int], List[int]]:
+        """Return and clear the sorted touched and written pages."""
+        touched = sorted(self.touched)
+        written = sorted(self.written)
+        self.touched.clear()
+        self.written.clear()
+        return touched, written
 
 
 class MemorySnapshot:
@@ -134,6 +208,8 @@ class AddressSpace:
         self._tracked_keys: List[int] = []
         self._guard_lo = self._size + 1
         self._guard_hi = -1
+        # The attached access recorder, if any (see `recording`).
+        self._recorder: Optional[AccessRecorder] = None
         # Per-region content versions: bumped whenever a region's stored
         # bytes may have changed. Workload drivers key pristine-data
         # caches on these so a memcmp re-verification happens only after
@@ -293,6 +369,8 @@ class AddressSpace:
             self._fire_disturbances(addr, n)
         if self._watchpoints:
             self._fire_watchpoints(addr, data, is_store=False)
+        if self._recorder is not None:
+            self._recorder.note_read(addr, n)
         return data
 
     def write(self, addr: int, data: bytes) -> None:
@@ -337,6 +415,8 @@ class AddressSpace:
             self._note_page_writes(addr, n)
         if self._watchpoints:
             self._fire_watchpoints(addr, data, is_store=True)
+        if self._recorder is not None:
+            self._recorder.note_write(addr, n)
 
     def _apply_overlay(self, addr: int, data: bytes) -> bytes:
         keys = self._overlay_keys
@@ -416,7 +496,10 @@ class AddressSpace:
                     callback(addr + offset, is_store, byte, now)
 
     def _refresh_guards(self) -> None:
-        """Rebuild sorted fault-key lists and the guarded-address interval."""
+        """Rebuild sorted fault-key lists and the guarded-address interval.
+
+        The interval spans the whole space while a recorder is attached.
+        """
         self._overlay_keys = sorted(self._overlay.masks)
         self._tracked_keys = sorted(self._tracked_faults)
         lo: Optional[int] = None
@@ -431,6 +514,9 @@ class AddressSpace:
                 last = max(addrs)
                 lo = first if lo is None else min(lo, first)
                 hi = last if hi is None else max(hi, last)
+        if self._recorder is not None:
+            # A recording routes every access through the checked path.
+            lo, hi = 0, self._size - 1
         if lo is None:
             self._guard_lo = self._size + 1
             self._guard_hi = -1
@@ -485,7 +571,8 @@ class AddressSpace:
         overlay, tracked fault, watchpoint, or disturbance aggressor, so a
         batch of loads from it returns stored bytes verbatim and has no
         side effects beyond clock/counter accounting (which callers settle
-        separately via :meth:`charge_reads`). Always False in oracle mode.
+        separately via :meth:`charge_reads`). Always False in oracle mode
+        and while a recorder is attached.
         """
         return self._fast and n > 0 and self._fast_index(addr, n) >= 0
 
@@ -506,18 +593,6 @@ class AddressSpace:
         self._load_bytes[index] += nbytes
         self._fast_hits += ops
 
-    @property
-    def guard_interval_empty(self) -> bool:
-        """True when no address needs per-access hook dispatch.
-
-        An empty guard interval means no stuck-at overlay, tracked
-        fault, watchpoint, or disturbance aggressor exists anywhere in
-        the space — every access everywhere behaves as plain memory.
-        The batched serve data plane uses this as its cheapest
-        admission check before the version-keyed content comparison.
-        """
-        return self._guard_hi < self._guard_lo
-
     def region_versions(self) -> Tuple[int, ...]:
         """Current content version of every region, in region order.
 
@@ -527,23 +602,6 @@ class AddressSpace:
         callers can memoize whole-space comparisons on it.
         """
         return tuple(self._region_versions)
-
-    def stored_bytes_equal(self, image) -> bool:
-        """Whole-space comparison of stored bytes against ``image``.
-
-        One NumPy memcmp over the raw storage (overlay *not* applied —
-        pair with :attr:`guard_interval_empty` when observed bytes must
-        match too). This is the batched data plane's pristine-run
-        verification; key it on :meth:`region_versions` to skip re-runs.
-        """
-        if len(image) != self._size:
-            return False
-        return bool(
-            np.array_equal(
-                np.frombuffer(self._mem, dtype=np.uint8),
-                np.frombuffer(image, dtype=np.uint8),
-            )
-        )
 
     def charge_recorded(
         self, time_units: int, per_region: Sequence[Sequence[int]]
@@ -558,51 +616,7 @@ class AddressSpace:
         byte-for-byte where live execution would have left them.
         """
         self._time += int(time_units)
-        ops = 0
-        for index, (lops, lbytes, sops, sbytes) in enumerate(per_region):
-            if lops or lbytes:
-                self._load_ops[index] += int(lops)
-                self._load_bytes[index] += int(lbytes)
-            if sops or sbytes:
-                self._store_ops[index] += int(sops)
-                self._store_bytes[index] += int(sbytes)
-            ops += int(lops) + int(sops)
-        self._fast_hits += ops
-
-    def drain_dirty_pages(self) -> List[int]:
-        """Return and clear the pages dirtied since the last drain.
-
-        Recording hook for the batched data plane's golden replay: the
-        caller drains after every query to learn which pages that query
-        wrote, then hands the union back via :meth:`mark_pages_dirty`
-        before restoring, so incremental restore still copies everything
-        that diverged from the baseline. Only meaningful on the fast
-        path (the slow path does not track dirty pages).
-        """
-        pages = sorted(self._dirty_pages)
-        self._dirty_pages.clear()
-        return pages
-
-    def mark_pages_dirty(self, pages: Iterable[int]) -> None:
-        """Re-add drained pages to the dirty set (see :meth:`drain_dirty_pages`)."""
-        self._dirty_pages.update(pages)
-
-    def guarded_addresses(self) -> Tuple[int, ...]:
-        """Sorted addresses that need per-access hook dispatch.
-
-        The union of stuck-at overlay bytes, tracked soft faults,
-        watchpoints, and disturbance aggressors — exactly the bytes
-        where an access can observe or cause something other than
-        plain stored memory. The batched serve data plane fuses only
-        requests whose recorded golden footprint avoids every page
-        containing one of these addresses, and excuses only these
-        addresses in :meth:`stored_bytes_equal_except`.
-        """
-        addrs = set(self._overlay.masks)
-        addrs.update(self._tracked_faults)
-        addrs.update(self._watchpoints)
-        addrs.update(self._disturbances)
-        return tuple(sorted(addrs))
+        self._credit_recorded(per_region)
 
     def soft_guard_addresses(self) -> Tuple[int, ...]:
         """Sorted tracked-fault, watchpoint, and disturbance addresses.
@@ -648,11 +662,12 @@ class AddressSpace:
 
         True when stored memory matches ``image`` at every address not
         in ``allowed`` (a sorted sequence). Used by the batched data
-        plane with ``allowed = guarded_addresses()``: stuck-at overlays
-        never mutate stored bytes and tracked soft flips mutate only
-        their own byte, so memory that matches the golden image outside
-        those addresses behaves identically to golden for any access
-        that stays off the guarded pages.
+        plane with ``allowed = tracked_addresses()``: overlays,
+        watchpoints, and disturbance aggressors never mutate stored
+        bytes and tracked soft flips mutate only their own byte, so
+        memory that matches the golden image outside those addresses
+        behaves identically to golden for any access that stays off the
+        blocked pages.
         """
         if len(image) != self._size:
             return False
@@ -671,148 +686,60 @@ class AddressSpace:
             and np.all(allowed_arr[slots[in_bounds]] == diff[in_bounds])
         )
 
-    def begin_access_capture(self) -> None:
-        """Start recording the page footprint of every validated access.
-
-        Shadows the two admission chokepoints (:meth:`_fast_index` and
-        :meth:`_region_index_for`) with wrappers that note the touched
-        pages — every load and store, typed or raw, fast or guarded,
-        validates through one of them — and forces
-        :meth:`span_is_clean` to False so drivers take their live path
-        and their reads are observed. Instance-attribute shadowing
-        keeps the production hot path completely untouched outside
-        recording. Not reentrant; pair with :meth:`end_access_capture`.
-        """
-        pages: set = set()
-        self._capture_pages = pages
-        fast_index = type(self)._fast_index.__get__(self)
-        region_index_for = type(self)._region_index_for.__get__(self)
-
-        def capturing_fast_index(addr: int, n: int) -> int:
-            if n > 0:
-                pages.update(
-                    range(addr >> _PAGE_SHIFT, ((addr + n - 1) >> _PAGE_SHIFT) + 1)
-                )
-            return fast_index(addr, n)
-
-        def capturing_region_index_for(addr: int, n: int) -> int:
-            index = region_index_for(addr, n)
-            pages.update(
-                range(addr >> _PAGE_SHIFT, ((addr + n - 1) >> _PAGE_SHIFT) + 1)
-            )
-            return index
-
-        self._fast_index = capturing_fast_index  # type: ignore[method-assign]
-        self._region_index_for = capturing_region_index_for  # type: ignore[method-assign]
-        self.span_is_clean = lambda addr, n: False  # type: ignore[method-assign]
-
-    def end_access_capture(self) -> List[int]:
-        """Stop recording and return the sorted pages touched since begin."""
-        del self._fast_index
-        del self._region_index_for
-        del self.span_is_clean
-        pages = sorted(self._capture_pages)
-        del self._capture_pages
-        return pages
-
     # ------------------------------------------------------------------
-    # Byte-granular access tracing (trial-pruning golden replay)
+    # Access recording (golden replays) and recorded-debt settlement
     # ------------------------------------------------------------------
-    def begin_access_trace(self) -> None:
-        """Start recording the byte-granular read/write footprint.
+    @contextmanager
+    def recording(self) -> Iterator[AccessRecorder]:
+        """Record the footprint of every access made inside the block.
 
-        The trial-pruning pre-classifier needs, for every byte, whether
-        its *first* access was a load or a store and whether it was ever
-        loaded at all. Tracing therefore requires the oracle path: with
-        the fast path pinned off, every load and store — typed, raw, or
-        bulk (which decomposes per element in oracle mode) — funnels
-        through :meth:`_read_guarded` / :meth:`_write_guarded`, and
-        ``span_is_clean`` is always False so drivers take their live
-        path. Both chokepoints are shadowed with recording wrappers via
-        the same instance-attribute pattern as
-        :meth:`begin_access_capture`. Not reentrant; pair with
-        :meth:`end_access_trace`, which also rolls the clock and
-        per-region counters back so the traced replay is invisible to
-        accounting.
+        While the recorder is attached the guard interval covers the
+        whole space, so every load and store — typed, raw, or bulk, on
+        the fast path or the oracle path — validates through
+        :meth:`_read_guarded` / :meth:`_write_guarded`, the recorder's
+        only callers, and :meth:`span_is_clean` is False so drivers take
+        their live path. On exit the recorder receives the end clock and
+        per-region deltas, then the clock, per-region counters, and
+        ``fast_path_stats`` access counters are rolled back, so
+        recording stays out of the accounting (memory contents are the
+        caller's to restore, typically via a workload reset). Stores
+        still mark dirty pages, so an incremental restore stays exact.
+        Not reentrant.
         """
-        if self._fast:
-            raise RuntimeError(
-                "access tracing requires the oracle path; "
-                "call set_fast_path(False) first"
-            )
-        first = bytearray(self._size)  # 0 never, 1 read-first, 2 write-first
-        read_seen = bytearray(self._size)
-        self._trace_first = first
-        self._trace_read_seen = read_seen
-        self._trace_saved = (
-            self._time,
+        if self._recorder is not None:
+            raise RuntimeError("an access recorder is already attached")
+        recorder = AccessRecorder(self._size)
+        saved_time = self._time
+        saved_counters = (
             list(self._load_ops),
             list(self._load_bytes),
             list(self._store_ops),
             list(self._store_bytes),
         )
-        read_guarded = type(self)._read_guarded.__get__(self)
-        write_guarded = type(self)._write_guarded.__get__(self)
-
-        def tracing_read_guarded(addr: int, n: int) -> bytes:
-            data = read_guarded(addr, n)
-            for a in range(addr, addr + n):
-                if not first[a]:
-                    first[a] = 1
-                read_seen[a] = 1
-            return data
-
-        def tracing_write_guarded(addr: int, data: bytes) -> None:
-            write_guarded(addr, data)
-            for a in range(addr, addr + len(data)):
-                if not first[a]:
-                    first[a] = 2
-
-        self._read_guarded = tracing_read_guarded  # type: ignore[method-assign]
-        self._write_guarded = tracing_write_guarded  # type: ignore[method-assign]
-
-    def end_access_trace(self) -> Dict[str, object]:
-        """Stop tracing; return the footprint and undo the accounting.
-
-        Returns a dict with ``first_access`` / ``read_seen`` (uint8
-        arrays, one slot per byte of the space), ``end_time`` (the
-        absolute logical time the traced run finished at), and
-        ``per_region`` — ``(load_ops, load_bytes, store_ops,
-        store_bytes)`` deltas in region order. The clock and per-region
-        counters are rolled back to their values at
-        :meth:`begin_access_trace`, so recording a golden replay leaves
-        ``access_stats()`` untouched (memory contents are the caller's
-        to restore, typically via a workload reset).
-        """
-        del self._read_guarded
-        del self._write_guarded
-        first = self._trace_first
-        read_seen = self._trace_read_seen
-        del self._trace_first
-        del self._trace_read_seen
-        saved_time, lops, lbytes, sops, sbytes = self._trace_saved
-        del self._trace_saved
-        end_time = self._time
-        per_region = tuple(
-            (
-                self._load_ops[i] - lops[i],
-                self._load_bytes[i] - lbytes[i],
-                self._store_ops[i] - sops[i],
-                self._store_bytes[i] - sbytes[i],
+        saved_hits = (self._fast_hits, self._fast_fallbacks)
+        self._recorder = recorder
+        self._refresh_guards()
+        try:
+            yield recorder
+        finally:
+            self._recorder = None
+            self._refresh_guards()
+            recorder.end_time = self._time
+            lops, lbytes, sops, sbytes = saved_counters
+            recorder.per_region = tuple(
+                (
+                    self._load_ops[i] - lops[i],
+                    self._load_bytes[i] - lbytes[i],
+                    self._store_ops[i] - sops[i],
+                    self._store_bytes[i] - sbytes[i],
+                )
+                for i in range(len(self.regions))
             )
-            for i in range(len(self.regions))
-        )
-        self._time = saved_time
-        self._load_ops = lops
-        self._load_bytes = lbytes
-        self._store_ops = sops
-        self._store_bytes = sbytes
-        return {
-            "first_access": np.frombuffer(bytes(first), dtype=np.uint8),
-            "read_seen": np.frombuffer(bytes(read_seen), dtype=np.uint8),
-            "end_time": end_time,
-            "per_region": per_region,
-        }
+            self._time = saved_time
+            self._load_ops, self._load_bytes, self._store_ops, self._store_bytes = (
+                saved_counters
+            )
+            self._fast_hits, self._fast_fallbacks = saved_hits
 
     def settle_recorded_trial(
         self, end_time: int, per_region: Sequence[Sequence[int]]
@@ -829,6 +756,11 @@ class AddressSpace:
         accesses are credited to the fast path, like
         :meth:`charge_recorded`.
         """
+        self._credit_recorded(per_region)
+        self._time = int(end_time)
+
+    def _credit_recorded(self, per_region: Sequence[Sequence[int]]) -> None:
+        """Add recorded per-region deltas; credit their ops to the fast path."""
         ops = 0
         for index, (lops, lbytes, sops, sbytes) in enumerate(per_region):
             if lops or lbytes:
@@ -838,8 +770,6 @@ class AddressSpace:
                 self._store_ops[index] += int(sops)
                 self._store_bytes[index] += int(sbytes)
             ops += int(lops) + int(sops)
-        self._fast_hits += ops
-        self._time = int(end_time)
         self._fast_hits += ops
 
     # ------------------------------------------------------------------
@@ -1247,16 +1177,6 @@ class AddressSpace:
         """
         state = self._tracked_faults[addr]
         return state[0], bool(state[1])
-
-    def correct_value_of(self, addr: int) -> int:
-        """Return the value the byte at ``addr`` *should* hold.
-
-        For soft faults this is unknowable after the fact, so callers
-        needing golden data must consult a snapshot or backing store; this
-        helper simply exposes the stored byte without the hard-fault
-        overlay, which is what a repair of the stuck cell would reveal.
-        """
-        return self._mem[addr]
 
     # ------------------------------------------------------------------
     # Region protection

@@ -6,12 +6,15 @@ model. The batched plane exploits the same insight as the offline
 fast path (delaying error reporting, arXiv:1810.06472): a request whose
 memory footprint is *provably pristine* behaves byte-for-byte like the
 golden replay did at the same trace cursor. So the batched plane records
-one instrumented golden replay per tenant at construction — per-query
-access-page footprints, per-query dirty-page images, cumulative
-clock/counter prefix sums, Python-side progress states — and at serve
-time *fuses* request runs: skip execution, count every request ``ok``,
-splice the recorded page images into memory, charge the exact recorded
-clock/counter deltas, and restore the recorded progress state.
+one golden replay per tenant at construction, inside the address
+space's access recording — the same recorder the trial-pruning golden
+trace uses (:meth:`~repro.memory.address_space.AddressSpace.recording`).
+It keeps per-query access-page footprints, per-query written-page
+images, cumulative clock/counter prefix sums and Python-side progress
+states. At serve time it *fuses* request runs: skip execution, count
+every request ``ok``, splice the recorded page images into memory,
+charge the exact recorded clock/counter deltas, and restore the
+recorded progress state.
 
 Admission to a fused run requires proof, not hope:
 
@@ -133,7 +136,7 @@ class PristineTrace:
     ``pages_flat``/``page_offsets`` form a CSR map of each query's
     *access* footprint: query ``i`` touched pages
     ``pages_flat[page_offsets[i]:page_offsets[i + 1]]`` (reads and
-    writes, captured at the memory model's admission chokepoints).
+    writes, captured by the address space's access recorder).
     """
 
     query_count: int
@@ -164,7 +167,7 @@ def _counter_row(space) -> np.ndarray:
 
 
 def _page_runs(space, pages: List[int]) -> List[Tuple[int, bytes]]:
-    """Snapshot contiguous dirty-page runs as ``(addr, bytes)`` pairs."""
+    """Snapshot contiguous written-page runs as ``(addr, bytes)`` pairs."""
     runs: List[Tuple[int, bytes]] = []
     if not pages:
         return runs
@@ -185,15 +188,14 @@ def _page_runs(space, pages: List[int]) -> List[Tuple[int, bytes]]:
 def record_pristine_trace(tenant: ServeTenant) -> Optional[PristineTrace]:
     """Replay the golden trace once, recording everything fusion needs.
 
-    Returns ``None`` when the tenant's space runs without the fast path
-    (no dirty-page tracking, so no per-query write images) — that
-    tenant simply serves scalar under the batched plane. The replay
-    runs under access capture (fused driver reads disabled, every
-    validated access noted), so each query's full golden read/write
-    page footprint is recorded alongside its write images. The tenant
-    must be pristine at its checkpoint; it is returned to that state
-    (the drained dirty pages are re-marked before the reset so the
-    incremental restore stays exact).
+    Returns ``None`` when the tenant's space is pinned to the oracle
+    path — that tenant simply serves scalar under the batched plane.
+    The replay runs inside the space's access recording (fused driver
+    reads disabled, every access observed), which after each query
+    yields that query's read/write page footprint and the pages it
+    wrote, whose images are snapshotted. The tenant must be pristine at
+    its checkpoint; it is returned to that state, and the recording
+    leaves its clock and counters untouched.
     """
     workload = tenant.workload
     space = workload.space
@@ -202,7 +204,6 @@ def record_pristine_trace(tenant: ServeTenant) -> Optional[PristineTrace]:
     query_count = workload.query_count
     base_time = space.time
     base_row = _counter_row(space)
-    union = set(space.drain_dirty_pages())
     clock = np.zeros(query_count + 1, dtype=np.int64)
     counters = np.zeros((query_count + 1, base_row.size), dtype=np.int64)
     pages: List[List[Tuple[int, bytes]]] = []
@@ -210,22 +211,17 @@ def record_pristine_trace(tenant: ServeTenant) -> Optional[PristineTrace]:
     flat: List[int] = []
     offsets = np.zeros(query_count + 1, dtype=np.int64)
     written: set = set()
-    for index in range(query_count):
-        space.begin_access_capture()
-        try:
+    with space.recording() as recorder:
+        for index in range(query_count):
             workload.execute(index)
-        finally:
-            touched = space.end_access_capture()
-        flat.extend(touched)
-        offsets[index + 1] = len(flat)
-        dirty = space.drain_dirty_pages()
-        pages.append(_page_runs(space, dirty))
-        union.update(dirty)
-        written.update(dirty)
-        clock[index + 1] = space.time - base_time
-        counters[index + 1] = _counter_row(space) - base_row
-        progress.append(workload.progress_state())
-    space.mark_pages_dirty(union)
+            touched, stored = recorder.take_pages()
+            flat.extend(touched)
+            offsets[index + 1] = len(flat)
+            pages.append(_page_runs(space, stored))
+            written.update(stored)
+            clock[index + 1] = space.time - base_time
+            counters[index + 1] = _counter_row(space) - base_row
+            progress.append(workload.progress_state())
     workload.reset()
     return PristineTrace(
         query_count=query_count,

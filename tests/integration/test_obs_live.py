@@ -58,12 +58,21 @@ async def _run_session_with_server(ledger_path=None, probe=None):
     """Run one seeded session hosting a live server on an ephemeral port.
 
     ``probe`` (async callable taking the server) runs mid-session, after
-    the server reports ready. Returns (result, server_url, final_fetch)
-    where final_fetch maps endpoint path -> (status, body) fetched after
-    the session completed but before the server stopped.
+    the server reports ready. The session's tenants hold at the start of
+    tick 1 until the probe returns (through the ledger-neutral stagger
+    hook), so the probe always sees a running session however fast the
+    ticks are. Returns (result, server_url, final_fetch) where
+    final_fetch maps endpoint path -> (status, body) fetched after the
+    session completed but before the server stopped.
     """
     registry = MetricsRegistry()
     server = ObservabilityServer(registry, port=0)
+    probed = asyncio.Event()
+
+    async def hold_for_probe(tenant, tick):
+        if tick >= 1:
+            await probed.wait()
+
     await server.start()
     try:
         task = asyncio.ensure_future(
@@ -73,6 +82,7 @@ async def _run_session_with_server(ledger_path=None, probe=None):
                 registry=registry,
                 server=server,
                 scale=SCALE,
+                stagger=hold_for_probe if probe is not None else None,
             )
         )
         # Wait for the first tick barrier to publish a snapshot.
@@ -83,7 +93,10 @@ async def _run_session_with_server(ledger_path=None, probe=None):
             assert not task.done(), "session finished before becoming ready"
             await asyncio.sleep(0.01)
         if probe is not None:
-            await probe(server)
+            try:
+                await probe(server)
+            finally:
+                probed.set()
         result = await task
         final = {}
         for path in ("/metrics", "/status", "/slo", "/healthz"):

@@ -1,8 +1,10 @@
 """Unit tests for repro.memory.address_space."""
 
+import numpy as np
 import pytest
 
 from repro.memory import (
+    PAGE_SIZE,
     AddressSpace,
     ProtectionFault,
     SegmentationFault,
@@ -230,3 +232,77 @@ class TestStatsAndSnapshots:
         space.advance_time(1000)
         space.restore(snap)
         assert space.time == snap.time
+
+
+def pages_of(addr, n):
+    return set(range(addr // PAGE_SIZE, (addr + n - 1) // PAGE_SIZE + 1))
+
+
+class TestAccessRecorder:
+    def test_page_sets_match_typed_raw_and_bulk_accesses(self, space, heap_base):
+        straddle = heap_base + 2 * PAGE_SIZE - 6   # spans pages 2 and 3
+        bulk = heap_base + 5 * PAGE_SIZE - 8       # spans pages 5 and 6
+        with space.recording() as recorder:
+            space.write_u32(heap_base, 7)
+            assert recorder.take_pages() == (
+                sorted(pages_of(heap_base, 4)), sorted(pages_of(heap_base, 4))
+            )
+            space.read_u64(heap_base + PAGE_SIZE)
+            space.read(straddle, 12)
+            touched, written = recorder.take_pages()
+            assert set(touched) == pages_of(heap_base + PAGE_SIZE, 8) | pages_of(
+                straddle, 12
+            )
+            assert written == []
+            space.write_array(bulk, np.arange(8, dtype="<u4"))
+            space.read_array(bulk, 8, "<u4")
+            touched, written = recorder.take_pages()
+            assert set(touched) == set(written) == pages_of(bulk, 32)
+            assert recorder.take_pages() == ([], [])
+
+    def test_bulk_accesses_record_every_byte(self, space, heap_base):
+        with space.recording() as recorder:
+            space.write_array(heap_base, np.arange(4, dtype="<u4"))
+            space.read_array(heap_base + 64, 4, "<u2")
+        first = recorder.first_access
+        assert first[heap_base : heap_base + 16] == b"\x02" * 16
+        assert first[heap_base + 64 : heap_base + 72] == b"\x01" * 8
+        assert recorder.read_seen[heap_base + 64 : heap_base + 72] == b"\x01" * 8
+        assert first[heap_base + 16] == first[heap_base + 72] == 0
+
+    def test_written_pages_are_exactly_the_stored_pages(self, space, heap_base):
+        stores = [(heap_base + 3 * PAGE_SIZE - 2, b"abcd"), (heap_base + 9 * PAGE_SIZE, b"z")]
+        with space.recording() as recorder:
+            space.read(heap_base, 16)
+            for addr, data in stores:
+                space.write(addr, data)
+            space.read(heap_base + 12 * PAGE_SIZE, 4)
+            touched, written = recorder.take_pages()
+        expected = set()
+        for addr, data in stores:
+            expected |= pages_of(addr, len(data))
+        assert set(written) == expected
+        assert expected < set(touched)
+
+    def test_span_is_clean_false_only_while_recording(self, space, heap_base):
+        assert space.span_is_clean(heap_base, 64)
+        with space.recording():
+            assert not space.span_is_clean(heap_base, 64)
+        assert space.span_is_clean(heap_base, 64)
+
+    def test_segfault_inside_recording_leaves_space_as_it_was(self, space, heap_base):
+        oracle = AddressSpace(space.layout)
+        oracle.set_fast_path(False)
+        with pytest.raises(SegmentationFault) as expected:
+            oracle.read(0, 4)
+        attrs = set(vars(space))
+        guard = (space._guard_lo, space._guard_hi)
+        with pytest.raises(SegmentationFault) as raised:
+            with space.recording():
+                space.write_u32(heap_base, 1)
+                space.read(0, 4)
+        assert str(raised.value) == str(expected.value)
+        assert (space._guard_lo, space._guard_hi) == guard
+        assert space.span_is_clean(heap_base, 64)
+        assert set(vars(space)) == attrs
+        assert space.time == 0

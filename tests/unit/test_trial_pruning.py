@@ -183,12 +183,11 @@ class TestAccessTrace:
         space = self.make_space()
         space.set_fast_path(False)
         heap = space.region_named("heap")
-        space.begin_access_trace()
-        space.write(heap.base, b"xy")          # write-first bytes
-        space.read(heap.base + 8, 2)           # read-first bytes
-        space.read(heap.base, 1)               # read after write: stays 2
-        raw = space.end_access_trace()
-        first, read_seen = raw["first_access"], raw["read_seen"]
+        with space.recording() as recorder:
+            space.write(heap.base, b"xy")          # write-first bytes
+            space.read(heap.base + 8, 2)           # read-first bytes
+            space.read(heap.base, 1)               # read after write: stays 2
+        first, read_seen = recorder.first_access, recorder.read_seen
         assert first[heap.base] == 2 and first[heap.base + 1] == 2
         assert first[heap.base + 8] == 1 and first[heap.base + 9] == 1
         assert first[heap.base + 16] == 0
@@ -197,52 +196,56 @@ class TestAccessTrace:
         assert read_seen[heap.base + 8] == 1
 
     def test_trace_rolls_back_clock_and_counters(self):
-        space = self.make_space()
-        space.set_fast_path(False)
-        heap = space.region_named("heap")
-        before_time = space.time
-        before_stats = space.access_stats()
-        space.begin_access_trace()
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
-        raw = space.end_access_trace()
-        assert space.time == before_time
-        assert space.access_stats() == before_stats
-        assert raw["end_time"] > before_time
-        # The recorded deltas are what the replay cost.
-        deltas = raw["per_region"]
-        assert sum(entry[1] for entry in deltas) == 4   # load bytes
-        assert sum(entry[3] for entry in deltas) == 4   # store bytes
+        for fast in (True, False):
+            space = self.make_space()
+            space.set_fast_path(fast)
+            heap = space.region_named("heap")
+            before_time = space.time
+            before_stats = space.access_stats()
+            before_fast = space.fast_path_stats()
+            with space.recording() as recorder:
+                space.write(heap.base, b"abcd")
+                space.read(heap.base, 4)
+            assert space.time == before_time
+            assert space.access_stats() == before_stats
+            assert space.fast_path_stats() == before_fast
+            assert recorder.end_time > before_time
+            # The recorded deltas are what the replay cost.
+            deltas = recorder.per_region
+            assert sum(entry[1] for entry in deltas) == 4   # load bytes
+            assert sum(entry[3] for entry in deltas) == 4   # store bytes
 
-    def test_trace_requires_oracle_path(self):
+    def test_recording_is_not_reentrant(self):
         space = self.make_space()
-        with pytest.raises(RuntimeError):
-            space.begin_access_trace()
+        with space.recording():
+            with pytest.raises(RuntimeError):
+                with space.recording():
+                    pass
 
     def test_settle_recorded_trial_matches_executed_accounting(self):
         space = self.make_space()
         space.set_fast_path(False)
         heap = space.region_named("heap")
-        space.begin_access_trace()
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
-        raw = space.end_access_trace()
-        executed_stats = None
+        with space.recording() as recorder:
+            space.write(heap.base, b"abcd")
+            space.read(heap.base, 4)
         # Execute the same ops for real to get the reference accounting.
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
-        executed_time = space.time
-        executed_stats = space.access_stats()
+        executed = self.make_space()
+        executed.write(heap.base, b"abcd")
+        executed.read(heap.base, 4)
+        executed_stats = executed.access_stats()
         # A fresh identical space settled from the trace must agree on
-        # the clock and per-region op/byte counters.
+        # the clock, the per-region op/byte counters and the fast-path
+        # access count.
         other = self.make_space()
-        other.set_fast_path(False)
-        other.settle_recorded_trial(raw["end_time"], raw["per_region"])
-        assert other.time == executed_time
+        other.settle_recorded_trial(recorder.end_time, recorder.per_region)
+        assert other.time == executed.time
         other_stats = other.access_stats()
         for region in ("private", "heap", "stack"):
             for key in ("load_ops", "load_bytes", "store_ops", "store_bytes"):
                 assert other_stats[region][key] == executed_stats[region][key]
+        settled_fast = other.fast_path_stats()["fast_accesses"]
+        assert settled_fast == executed.fast_path_stats()["fast_accesses"] == 2
 
 
 class TestVirtualFault:
